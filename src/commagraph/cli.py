@@ -30,7 +30,6 @@ from .groups import (
     enumerate_homs_raag_to_finite,
     group_from_json,
     group_to_json,
-    raag_is_identity,
     raag_of,
     raag_reduce,
     word_from_tokens,
@@ -84,9 +83,8 @@ def _cmd_raag_reduce(args) -> int:
     raag = raag_of(g)
     word = word_from_tokens(args.word)
     reduced = raag_reduce(raag, word)
-    identity = raag_is_identity(raag, word)
     _note(f"reduced {len(word)} letters to {len(reduced)}")
-    _emit({"reduced": word_to_tokens(reduced), "identity": identity}, args)
+    _emit({"reduced": word_to_tokens(reduced), "identity": reduced == ()}, args)
     return 0
 
 

@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import product
 
 import pytest
@@ -57,6 +58,7 @@ from commagraph.groups import (
     make_group_hom,
     word_from_json,
     word_from_tokens,
+    word_inverse,
     word_to_json,
 )
 from commagraph.verify import graphs_up_to
@@ -256,6 +258,95 @@ def test_reduced_form_is_lex_least_of_its_shuffle_class():
                 closure = _swap_closure(g, reduced)
                 assert reduced == min(closure, key=key)
                 assert all(raag_equal(raag, w, u) for u in closure)
+
+
+def _reference_reduce(graph, word):
+    """raag_reduce by the plain quadratic method, as a reference for the
+    engine: delete the first pair x, x^-1 whose in-between letters all
+    commute with x and rescan from the start until none is left, then
+    repeatedly take out the least letter that commutes past everything to
+    its left (generator order = storage order, a positive letter first)."""
+    labels = graph.vertices.labels
+    index = {v: i for i, v in enumerate(labels)}
+    adjacent = [set() for _ in labels]
+    for u, v in graph.edges:
+        adjacent[index[u]].add(index[v])
+        adjacent[index[v]].add(index[u])
+    w = [2 * index[gen] + (0 if sign > 0 else 1) for gen, sign in word]
+    changed = True
+    while changed:
+        changed = False
+        for i, c in enumerate(w):
+            for j in range(i + 1, len(w)):
+                g = w[j] >> 1
+                if g == c >> 1:
+                    if w[j] == c ^ 1:
+                        del w[j]
+                        del w[i]
+                        changed = True
+                    break
+                if g not in adjacent[c >> 1]:
+                    break
+            if changed:
+                break
+    out = []
+    while w:
+        best, earlier = None, set()
+        for idx, c in enumerate(w):
+            if earlier <= adjacent[c >> 1] and (best is None or c < w[best]):
+                best = idx
+            earlier.add(c >> 1)
+        out.append(w.pop(best))
+    return tuple((labels[c >> 1], 1 if c % 2 == 0 else -1) for c in out)
+
+
+def test_reduce_matches_reference_on_long_words():
+    # words of 50-200 letters, far past the exhaustive and oracle windows;
+    # half are u.v.u^-1 shapes, so long stretches cancel across commuting letters
+    rng = random.Random(2024)
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        labels = make_set("abcdef"[:n])
+        density = rng.random()
+        edges = [
+            (u, v) for i, u in enumerate(labels) for v in labels.labels[i + 1:]
+            if rng.random() < density
+        ]
+        g = make_graph(labels, edges)
+
+        def word(low, high):
+            return tuple(
+                (rng.choice(labels.labels), rng.choice((1, -1)))
+                for _ in range(rng.randint(low, high))
+            )
+
+        if rng.random() < 0.5:
+            w = word(50, 200)
+        else:
+            u = word(20, 80)
+            w = u + word(0, 40) + word_inverse(u)
+        expected = _reference_reduce(g, w)
+        assert raag_reduce(raag_of(g), w) == expected
+        assert raag_is_identity(raag_of(g), w) == (expected == ())
+
+
+def test_engine_is_fast_on_long_words():
+    # a quadratic engine takes about a minute on the first word; each of
+    # these takes tens of milliseconds in linear time
+    rng = random.Random(7)
+    labels = make_set([f"v{i}" for i in range(20)])
+    edges = [
+        (u, v) for i, u in enumerate(labels) for v in labels.labels[i + 1:] if rng.random() < 0.5
+    ]
+    u = tuple((rng.choice(labels.labels), rng.choice((1, -1))) for _ in range(16000))
+    start = time.perf_counter()
+    assert raag_is_identity(raag_of(make_graph(labels, edges)), u + word_inverse(u))
+    assert time.perf_counter() - start < 5.0
+    # a scan back past commuting letters would cross all of b^16000 for every a
+    adversarial = (iA,) + (B,) * 16000 + (A, iA) * 16000
+    start = time.perf_counter()
+    assert raag_reduce(edge_raag(), adversarial) == (iA,) + (B,) * 16000
+    assert time.perf_counter() - start < 5.0
 
 
 def test_commute_examples():
