@@ -8,10 +8,14 @@ are put into a canonical form, the lexicographically least word obtainable
 by swapping adjacent commuting letters, in O(n*k + n log n); two words
 denote the same element iff they reduce to the same canonical form.
 
-Finite groups carry a full Cayley table.  The two directions between graphs
-and groups live here as well: a graph yields the RAAG presented by it, and
-a finite group yields its commutation graph (distinct elements joined iff
-they commute).
+Finite groups carry a full Cayley table, validated on an integer-indexed
+copy: associativity by Light's test against a greedy generating set S, in
+O(n^2 * |S|) with |S| <= log2(n) + 1 for a group of order n, then identity
+and inverses in O(n^2).  A permutation closure derives its table from the
+closure's own edges, a * x = (a * parent(x)) * g, by n^2 integer lookups.
+The two directions between graphs and groups live here as well: a graph
+yields the RAAG presented by it, and a finite group yields its commutation
+graph (distinct elements joined iff they commute).
 """
 
 from __future__ import annotations
@@ -371,48 +375,118 @@ def finite_group_from_table(
     """Build and fully validate a finite group from its Cayley table.
 
     The table may be a (a, b) -> ab mapping or a square array of rows in
-    element order.  When identity is omitted it is searched for.
+    element order.  When identity is omitted it is searched for.  Every
+    check runs on element indices: associativity by Light's test in
+    O(n^2 * |S|) for a greedy generating set S, which has at most
+    log2(n) + 1 elements when the table is a group; identity and inverses
+    in O(n^2).
     """
     elements = elements if isinstance(elements, FiniteSet) else make_set(elements)
     labels = elements.labels
-    flat: dict[tuple[str, str], str] = {}
-    if isinstance(table, Mapping):
-        flat = dict(table)
-    else:
-        if len(table) != len(labels) or any(len(row) != len(labels) for row in table):
-            raise MalformedInput("table must be square, one row per element")
-        for a, row in zip(labels, table):
-            for b, value in zip(labels, row):
-                flat[(a, b)] = value
-    for a in labels:
-        for b in labels:
-            if (a, b) not in flat:
-                raise MalformedInput(f"table has no entry for ({a!r}, {b!r})")
-            if flat[(a, b)] not in elements:
-                raise UnknownElement(f"table entry for ({a!r}, {b!r}) is not an element")
-    for a in labels:
-        for b in labels:
-            for c in labels:
-                if flat[(flat[(a, b)], c)] != flat[(a, flat[(b, c)])]:
-                    raise NotAssociative(f"({a!r}*{b!r})*{c!r} != {a!r}*({b!r}*{c!r})")
-    if identity is None:
-        for e in labels:
-            if all(flat[(e, x)] == x == flat[(x, e)] for x in labels):
-                identity = e
-                break
-        else:
-            raise NoIdentity("the table has no two-sided identity")
-    elif not all(flat[(identity, x)] == x == flat[(x, identity)] for x in labels):
-        raise NoIdentity(f"{identity!r} is not a two-sided identity")
+    rows = _index_table(labels, table)
+    _check_associative(labels, rows)
+    e = _identity_index(labels, rows, identity)
     inverse: dict[str, str] = {}
-    for a in labels:
-        for b in labels:
-            if flat[(a, b)] == identity == flat[(b, a)]:
-                inverse[a] = b
-                break
-        else:
+    for a, row in zip(labels, rows):
+        # In a finite monoid a right inverse is two-sided and unique.
+        if e not in row:
             raise NoInverse(f"{a!r} has no two-sided inverse")
-    return FiniteGroup(elements, flat, identity, inverse)
+        inverse[a] = labels[row.index(e)]
+    flat = {(a, b): labels[c] for a, row in zip(labels, rows) for b, c in zip(labels, row)}
+    return FiniteGroup(elements, flat, labels[e], inverse)
+
+
+_NO_ENTRY = object()
+
+
+def _index_table(
+    labels: tuple[str, ...],
+    table: Mapping[tuple[str, str], str] | Sequence[Sequence[str]],
+) -> list[list[int]]:
+    """The table as rows of element indices, both axes in storage order."""
+    n = len(labels)
+    if isinstance(table, Mapping):
+        grid: Iterable[Sequence] = ([table.get((a, b), _NO_ENTRY) for b in labels] for a in labels)
+    elif isinstance(table, (list, tuple)) and len(table) == n and all(
+        isinstance(row, (list, tuple)) and len(row) == n for row in table
+    ):
+        grid = table
+    else:
+        raise MalformedInput("table must be square, one array row per element")
+    index = {a: i for i, a in enumerate(labels)}
+    rows: list[list[int]] = []
+    for a, source in zip(labels, grid):
+        try:
+            rows.append([index[value] for value in source])
+        except (KeyError, TypeError):
+            for b, value in zip(labels, source):
+                if value is _NO_ENTRY:
+                    raise MalformedInput(f"table has no entry for ({a!r}, {b!r})") from None
+                try:
+                    index[value]
+                except (KeyError, TypeError):
+                    raise UnknownElement(f"table entry for ({a!r}, {b!r}) is not an element") from None
+    return rows
+
+
+def _magma_generators(rows: list[list[int]]) -> list[int]:
+    """A greedy generating set: each element, in storage order, that right
+    multiplication by the earlier choices has not reached from them joins
+    them.  O(n * |S|): an element met before a generator joins is
+    multiplied by that generator once, a later one by all of them once."""
+    gens: list[int] = []
+    reached = [False] * len(rows)
+    found: list[int] = []
+    for s in range(len(rows)):
+        if reached[s]:
+            continue
+        gens.append(s)
+        reached[s] = True
+        fresh = [s]
+        for x in found:
+            y = rows[x][s]
+            if not reached[y]:
+                reached[y] = True
+                fresh.append(y)
+        while fresh:
+            x = fresh.pop()
+            found.append(x)
+            row = rows[x]
+            for g in gens:
+                y = row[g]
+                if not reached[y]:
+                    reached[y] = True
+                    fresh.append(y)
+    return gens
+
+
+def _check_associative(labels: tuple[str, ...], rows: list[list[int]]) -> None:
+    """Light's test (Clifford-Preston 1961, 1.2): (x*g)*y == x*(g*y) for all
+    x, y and every g of a generating set.  Exact for any finite magma: the
+    g passing it form a submagma, so one containing generators is all of it."""
+    for g in _magma_generators(rows):
+        row_g = rows[g]
+        for x, row_x in enumerate(rows):
+            left = rows[row_x[g]]
+            right = [row_x[z] for z in row_g]
+            if left != right:
+                y = next(y for y in range(len(rows)) if left[y] != right[y])
+                a, b, c = labels[x], labels[g], labels[y]
+                raise NotAssociative(f"({a!r}*{b!r})*{c!r} != {a!r}*({b!r}*{c!r})")
+
+
+def _identity_index(labels: tuple[str, ...], rows: list[list[int]], identity: str | None) -> int:
+    identity_row = list(range(len(rows)))
+    if identity is None:
+        candidates: Iterable[int] = range(len(rows))
+    else:
+        candidates = [labels.index(identity)] if identity in labels else []
+    for e in candidates:
+        if rows[e] == identity_row and all(row[e] == x for x, row in enumerate(rows)):
+            return e
+    if identity is None:
+        raise NoIdentity("the table has no two-sided identity")
+    raise NoIdentity(f"{identity!r} is not a two-sided identity")
 
 
 def _permutation_label(perm: tuple[int, ...]) -> str:
@@ -428,41 +502,55 @@ def finite_group_from_permutations(
 ) -> FiniteGroup:
     """Close a set of permutations of {1..degree} under composition.
 
-    Elements are named by one-line notation (the sequence of images).
-    Composition is (p * q)(i) = p(q(i)): apply q first.
+    Elements are named by one-line notation (the sequence of images), in
+    breadth-first order from the identity.  Composition is
+    (p * q)(i) = p(q(i)): apply q first.  Each element x other than the
+    identity is recorded as parent(x) * g for the generator g that found
+    it, so the product table follows from the closure's own edges,
+    a * x = (a * parent(x)) * g: n * |gens| compositions of permutations
+    and n^2 integer lookups.
     """
+    if type(degree) is not int or degree < 0:
+        raise MalformedInput(f"a permutation degree must be a non-negative integer, not {degree!r}")
+    points = list(range(1, degree + 1))
     gens: list[tuple[int, ...]] = []
     for g in generators:
-        p = tuple(g)
-        if sorted(p) != list(range(1, degree + 1)):
-            raise NotAPermutation(f"{list(g)!r} is not a permutation of 1..{degree}")
-        gens.append(p)
+        if (
+            not isinstance(g, (list, tuple))
+            or not all(type(i) is int for i in g)
+            or sorted(g) != points
+        ):
+            raise NotAPermutation(f"{g!r} is not a permutation of 1..{degree}")
+        gens.append(tuple(g))
 
-    def compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-        return tuple(p[q[i] - 1] for i in range(degree))
-
-    ident = tuple(range(1, degree + 1))
+    ident = tuple(points)
     found = [ident]
-    seen = {ident}
-    queue = deque((ident,))
-    while queue:
-        p = queue.popleft()
-        for g in gens:
-            q = compose(p, g)
-            if q not in seen:
-                if len(seen) >= cap:
+    index = {ident: 0}
+    steps: list[tuple[int, int]] = []  # (parent, generator) of found[1:]
+    right: list[list[int]] = []  # right[x][j]: index of found[x] * gens[j]
+    for x, p in enumerate(found):  # found grows in breadth-first order
+        row = []
+        for j, g in enumerate(gens):
+            q = tuple(p[i - 1] for i in g)
+            y = index.get(q)
+            if y is None:
+                if len(found) >= cap:
                     raise OrderCapExceeded(f"closure exceeded the cap of {cap} elements")
-                seen.add(q)
+                y = index[q] = len(found)
                 found.append(q)
-                queue.append(q)
+                steps.append((x, j))
+            row.append(y)
+        right.append(row)
+
     labels = make_set(_permutation_label(p) for p in found)
-    by_label = dict(zip(labels.labels, found))
-    table = {
-        (a, b): _permutation_label(compose(by_label[a], by_label[b]))
-        for a in labels
-        for b in labels
-    }
-    return finite_group_from_table(labels, table, _permutation_label(ident))
+    names = labels.labels
+    table = []
+    for a in range(len(found)):
+        row = [a]
+        for px, j in steps:
+            row.append(right[row[px]][j])
+        table.append([names[c] for c in row])
+    return finite_group_from_table(labels, table, names[0])
 
 
 def trivial_group() -> FiniteGroup:
@@ -498,15 +586,27 @@ def dihedral_group_4() -> FiniteGroup:
     return finite_group_from_permutations(4, [(2, 3, 4, 1), (2, 1, 4, 3)])
 
 
+def _commuting(h: FiniteGroup) -> list[list[int]]:
+    """For each element index, the ascending indices of the elements that
+    commute with it, itself included."""
+    labels, table = h.elements.labels, h.table
+    out: list[list[int]] = [[] for _ in labels]
+    for i, a in enumerate(labels):
+        for j in range(i, len(labels)):
+            b = labels[j]
+            if table[(a, b)] == table[(b, a)]:
+                out[i].append(j)
+                if j != i:
+                    out[j].append(i)
+    return out
+
+
 def commutation_graph(h: FiniteGroup) -> Graph:
     """Graph on the elements of h, distinct vertices adjacent iff they
     commute."""
     labels = h.elements.labels
     edges = tuple(
-        (labels[i], labels[j])
-        for i in range(len(labels))
-        for j in range(i + 1, len(labels))
-        if h.commutes(labels[i], labels[j])
+        (labels[i], labels[j]) for i, row in enumerate(_commuting(h)) for j in row if j > i
     )
     return Graph(h.elements, edges)
 
@@ -551,15 +651,21 @@ def apply_hom(f: GroupHom, x):
 
 
 def evaluate_word(images: Mapping[str, object], w: Iterable, h: GroupHandle):
-    """Product in h of the images of a word's letters, signs applied."""
-    acc = h.identity_element()
+    """Product in h of the images of a word's letters, signs applied.  Into
+    a presented group the signed images are concatenated and reduced once."""
+    letters = []
     for gen, sign in as_word(w):
         if gen not in images:
             raise UnknownGenerator(f"no image given for generator {gen!r}")
-        x = images[gen]
-        if sign < 0:
-            x = h.invert(x)
-        acc = h.multiply(acc, x)
+        letters.append((images[gen], sign))
+    if isinstance(h, Raag):
+        word: list[tuple[str, int]] = []
+        for x, sign in letters:
+            word.extend(as_word(x) if sign > 0 else word_inverse(as_word(x)))
+        return raag_reduce(h, word)
+    acc = h.identity_element()
+    for x, sign in letters:
+        acc = h.multiply(acc, x if sign > 0 else h.invert(x))
     return acc
 
 
@@ -653,28 +759,41 @@ def raag_on_hom(f: GraphHom) -> GroupHom:
 
 def enumerate_homs_raag_to_finite(raag: Raag, h: FiniteGroup) -> list[GroupHom]:
     """All homomorphisms from a presented group to a finite group, as
-    generator assignments with adjacent images commuting, in storage order."""
+    generator assignments with adjacent images commuting, in storage order.
+    A generator's candidates are the elements commuting with the image of
+    its first earlier neighbour, kept if they commute with the other
+    earlier neighbours' images."""
     gens = raag.generators.labels
     pos = {v: i for i, v in enumerate(gens)}
-    earlier: dict[str, list[str]] = {v: [] for v in gens}
+    earlier: list[list[int]] = [[] for _ in gens]
     for u, v in raag.presentation.edges:
-        if pos[u] > pos[v]:
-            u, v = v, u
-        earlier[v].append(u)
+        i, j = sorted((pos[u], pos[v]))
+        earlier[j].append(i)
+    labels = h.elements.labels
+    commuting = _commuting(h)
+    commuting_sets = [set(row) for row in commuting]
+    everything = list(range(len(labels)))
 
     out: list[GroupHom] = []
-    assignment: dict[str, str] = {}
+    chosen = [0] * len(gens)
 
     def extend(i: int) -> None:
         if i == len(gens):
-            out.append(GroupHom(raag, h, generator_images=dict(assignment)))
+            images = {v: labels[c] for v, c in zip(gens, chosen)}
+            out.append(GroupHom(raag, h, generator_images=images))
             return
-        v = gens[i]
-        for elem in h.elements:
-            if all(h.commutes(assignment[u], elem) for u in earlier[v]):
-                assignment[v] = elem
-                extend(i + 1)
-                del assignment[v]
+        if not earlier[i]:
+            candidates = everything
+        else:
+            first, *rest = earlier[i]
+            candidates = commuting[chosen[first]]
+            if rest:
+                candidates = [
+                    c for c in candidates if all(c in commuting_sets[chosen[u]] for u in rest)
+                ]
+        for c in candidates:
+            chosen[i] = c
+            extend(i + 1)
 
     extend(0)
     return out

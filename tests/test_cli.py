@@ -117,6 +117,20 @@ def test_commutation_graph_rejects_broken_table(write, capsys):
     assert code == 2
 
 
+def test_commutation_graph_rejects_negative_degree(write, capsys):
+    bad = {"type": "perm", "degree": -1, "generators": []}
+    code, out, err = run(capsys, "commutation-graph", write("bad.json", bad))
+    assert code == 2 and out == ""
+    assert err.startswith("error: MalformedInput") and err.count("\n") == 1
+
+
+def test_commutation_graph_rejects_table_rows_that_are_not_arrays(write, capsys):
+    bad = {"type": "cayley", "elements": ["e", "g"], "table": [1, 2]}
+    code, out, err = run(capsys, "commutation-graph", write("bad.json", bad))
+    assert code == 2 and out == ""
+    assert err.startswith("error: MalformedInput") and err.count("\n") == 1
+
+
 def test_homs_graph_to_graph(write, capsys):
     other = {"vertices": ["c", "d"], "edges": [["c", "d"]]}
     code, out, _ = run(capsys, "homs", write("edge.json", EDGE), write("other.json", other))

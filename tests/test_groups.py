@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from itertools import product
 
@@ -450,6 +451,99 @@ def test_dihedral_order_8():
     assert len(dihedral_group_4().elements) == 8
 
 
+def _brute_force_verdict(labels, table):
+    """The error a table should raise, or None for a group, by checking
+    every triple, every identity candidate and every inverse pair."""
+    if not all(
+        table[(table[(a, b)], c)] == table[(a, table[(b, c)])]
+        for a in labels
+        for b in labels
+        for c in labels
+    ):
+        return NotAssociative
+    if not any(all(table[(e, x)] == x == table[(x, e)] for x in labels) for e in labels):
+        return NoIdentity
+    e = next(e for e in labels if all(table[(e, x)] == x == table[(x, e)] for x in labels))
+    if not all(any(table[(a, b)] == e == table[(b, a)] for b in labels) for a in labels):
+        return NoInverse
+    return None
+
+
+def _assert_construction_matches_brute_force(labels, table):
+    verdict = _brute_force_verdict(labels, table)
+    try:
+        h = finite_group_from_table(labels, table)
+    except (NotAssociative, NoIdentity, NoInverse) as exc:
+        assert type(exc) is verdict
+        if verdict is NotAssociative:
+            # the message names a failing triple
+            a, b, c = re.findall(r"'([^']*)'", str(exc))[:3]
+            assert table[(table[(a, b)], c)] != table[(a, table[(b, c)])]
+    else:
+        assert verdict is None
+        assert all(table[(h.identity, x)] == x == table[(x, h.identity)] for x in labels)
+        assert all(table[(a, h.inverse[a])] == h.identity == table[(h.inverse[a], a)] for a in labels)
+
+
+def test_light_test_matches_brute_force_on_all_small_magmas():
+    for n in range(4):
+        labels = [str(i) for i in range(n)]
+        pairs = list(product(labels, repeat=2))
+        for values in product(labels, repeat=n * n):
+            _assert_construction_matches_brute_force(labels, dict(zip(pairs, values)))
+
+
+def test_light_test_matches_brute_force_on_perturbed_groups():
+    # every group table with one entry changed: mostly near-associative magmas
+    for h in (symmetric_group_3(), dihedral_group_4(), klein_four_group()):
+        labels = h.elements.labels
+        for a, b in product(labels, repeat=2):
+            for c in labels:
+                table = dict(h.table)
+                table[(a, b)] = c
+                _assert_construction_matches_brute_force(labels, table)
+
+
+def _permutation_of(label):
+    return tuple(int(i) for i in (label.split(",") if "," in label else label))
+
+
+def _assert_closure_table_is_composition(h):
+    for a in h.elements:
+        p = _permutation_of(a)
+        for b in h.elements:
+            q = _permutation_of(b)
+            assert _permutation_of(h.multiply(a, b)) == tuple(p[i - 1] for i in q)
+
+
+def _dihedral(m):
+    rotation = tuple(range(2, m + 1)) + (1,)
+    reflection = (1,) + tuple(range(m, 1, -1))
+    return finite_group_from_permutations(m, [rotation, reflection])
+
+
+def test_closure_table_is_permutation_composition():
+    s4 = finite_group_from_permutations(4, [(2, 1, 3, 4), (2, 3, 4, 1)])
+    assert len(s4.elements) == 24
+    _assert_closure_table_is_composition(s4)
+    for m in (5, 7):
+        d = _dihedral(m)
+        assert len(d.elements) == 2 * m
+        _assert_closure_table_is_composition(d)
+
+
+def test_order_120_groups_are_fast():
+    # about a second each at O(n^3); tens of milliseconds at O(n^2)
+    start = time.perf_counter()
+    s5 = finite_group_from_permutations(5, [(2, 1, 3, 4, 5), (2, 3, 4, 5, 1)])
+    assert len(commutation_graph(s5).edges) == (120 * 7 - 120) // 2  # 7 classes
+    assert time.perf_counter() - start < 5.0
+    start = time.perf_counter()
+    d60 = _dihedral(60)
+    assert len(commutation_graph(d60).edges) == (120 * 33 - 120) // 2  # 33 classes
+    assert time.perf_counter() - start < 5.0
+
+
 # ---------------------------------------------------------------------------
 # commutation graphs
 
@@ -549,6 +643,49 @@ def test_evaluate_word_unknown_generator():
         evaluate_word({}, (A,), cyclic_group(2))
 
 
+def _reference_evaluate(images, w, raag):
+    """evaluate_word by reducing the accumulator after every letter."""
+    acc = ()
+    for gen, sign in w:
+        x = images[gen] if sign > 0 else word_inverse(images[gen])
+        acc = raag.multiply(acc, x)
+    return acc
+
+
+def _random_word(rng, labels, length):
+    return tuple((rng.choice(labels), rng.choice((1, -1))) for _ in range(length))
+
+
+def test_evaluate_word_into_raag_matches_letter_by_letter():
+    rng = random.Random(11)
+    for _ in range(200):
+        dom = make_set("abc"[: rng.randint(1, 3)])
+        cod_labels = make_set("pqrst"[: rng.randint(1, 5)])
+        edges = [
+            (u, v) for i, u in enumerate(cod_labels) for v in cod_labels.labels[i + 1:]
+            if rng.random() < 0.5
+        ]
+        cod = raag_of(make_graph(cod_labels, edges))
+        images = {v: _random_word(rng, cod_labels.labels, rng.randint(0, 4)) for v in dom}
+        w = _random_word(rng, dom.labels, rng.randint(0, 30))
+        assert evaluate_word(images, w, cod) == _reference_evaluate(images, w, cod)
+
+
+def test_evaluate_word_into_raag_is_fast():
+    # about 18 s letter by letter (quadratic); milliseconds in one reduction
+    rng = random.Random(5)
+    labels = make_set([f"v{i}" for i in range(20)])
+    edges = [
+        (u, v) for i, u in enumerate(labels) for v in labels.labels[i + 1:] if rng.random() < 0.5
+    ]
+    raag = raag_of(make_graph(labels, edges))
+    w = _random_word(rng, labels.labels, 4000)
+    start = time.perf_counter()
+    result = evaluate_word({v: ((v, 1),) for v in labels}, w, raag)
+    assert time.perf_counter() - start < 5.0
+    assert result == raag_reduce(raag, w)
+
+
 def test_hom_check_equal_images_commute():
     s3 = symmetric_group_3()
     f = GroupHom(edge_raag(), s3, generator_images={"a": "213", "b": "213"})
@@ -596,6 +733,22 @@ def test_enumerated_homs_are_homs():
     s3 = symmetric_group_3()
     for f in enumerate_homs_raag_to_finite(edge_raag(), s3):
         assert hom_check(f)
+
+
+def test_enumerate_homs_matches_product_order():
+    # every assignment in lexicographic storage order, kept when adjacent
+    # images commute
+    for h, max_vertices in ((symmetric_group_3(), 4), (dihedral_group_4(), 3)):
+        for g in graphs_up_to(max_vertices):
+            gens = g.vertices.labels
+            expected = [
+                dict(zip(gens, images))
+                for images in product(h.elements.labels, repeat=len(gens))
+                if all(h.commutes(images[gens.index(u)], images[gens.index(v)]) for u, v in g.edges)
+            ]
+            found = enumerate_homs_raag_to_finite(raag_of(g), h)
+            assert [f.generator_images for f in found] == expected
+            assert all(list(f.generator_images) == list(gens) for f in found)
 
 
 def test_enumerate_finite_to_finite_counts():
