@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import verify
@@ -21,7 +20,7 @@ from .comma import (
     coreflect,
     embed_graph,
 )
-from .errors import InputError, MalformedInput
+from .errors import InputError, MalformedInput, UsageError
 from .graphs import enumerate_graph_homs, graph_from_json, graph_to_json
 from .groups import (
     CLOSURE_DEFAULT_CAP,
@@ -37,13 +36,9 @@ from .groups import (
 )
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        raise UsageError(message)
 
 
 def _load_json(path: str):
@@ -127,26 +122,11 @@ def _cmd_homs(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    names = list(args.suites)
-    if "all" in names:
-        names = list(verify.SUITE_NAMES)
+    names = verify.SUITE_NAMES if "all" in args.suites else args.suites
+    bounds = {"max_vertices": args.max_vertices, "max_word_len": args.max_word_len}
     for name in names:
-        if name not in verify.SUITE_NAMES:
-            raise _UsageError(f"unknown suite {name!r}; known: {', '.join(verify.SUITE_NAMES)}, all")
-
-    def run(name: str) -> verify.CheckReport:
-        return verify.run_suite(
-            name,
-            max_vertices=args.max_vertices,
-            max_word_len=args.max_word_len,
-            seed=args.seed,
-        )
-
-    if args.parallel and len(names) > 1:
-        with ThreadPoolExecutor(max_workers=len(names)) as pool:
-            reports = list(pool.map(run, names))
-    else:
-        reports = [run(name) for name in names]
+        verify.validate(name, **bounds)
+    reports = [verify.run_suite(name, seed=args.seed, **bounds) for name in names]
     for report in reports:
         status = "passed" if report.passed else "FAILED"
         _note(f"{report.name}: {status} ({report.cases_checked} cases; {report.scope})")
@@ -201,7 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-vertices", type=int, default=None, help="override the vertex bound")
     p.add_argument("--max-word-len", type=int, default=None, help="override the exhaustive word length")
     p.add_argument("--seed", type=int, default=0, help="seed for pooled objects and random words")
-    p.add_argument("--parallel", action="store_true", help="run suites concurrently")
     common(p)
     p.set_defaults(func=_cmd_check)
 
@@ -212,12 +191,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 3
-    try:
         return args.func(args)
-    except _UsageError as exc:
+    except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 3
     except InputError as exc:

@@ -2,6 +2,8 @@
 
 Every error that can be triggered by bad user input derives from
 :class:`InputError`, so the CLI can map the whole family to exit code 2.
+A bad flag, an unknown suite name or an out-of-range suite bound raises
+:class:`UsageError` instead, which the CLI maps to exit code 3.
 """
 
 
@@ -89,3 +91,13 @@ class NotFactorable(Exception):
     """A comma morphism out of an embedded graph failed to factor through
     the coreflection.  This never happens for valid inputs; seeing it means
     the coreflector and the embedding disagree, i.e. an internal bug."""
+
+
+class UsageError(ValueError):
+    """A bad flag, an unknown suite name or a bound outside its legal range."""
+
+
+class UnknownSuite(UsageError, KeyError):
+    """A suite name the verification registry does not hold."""
+
+    __str__ = Exception.__str__  # KeyError would quote the message

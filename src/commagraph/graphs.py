@@ -181,18 +181,3 @@ def graph_from_json(data: object) -> Graph:
         raise MalformedInput('"edges" must be an array of two-element arrays')
     return make_graph(vertices, edges)
 
-
-def graph_hom_to_json(f: GraphHom) -> dict:
-    return {
-        "dom": graph_to_json(f.dom),
-        "cod": graph_to_json(f.cod),
-        "map": {v: f.vmap.mapping[v] for v in f.dom.vertices},
-    }
-
-
-def graph_hom_from_json(data: object) -> GraphHom:
-    if not isinstance(data, dict) or not {"dom", "cod", "map"} <= set(data):
-        raise MalformedInput('a graph hom must be an object with "dom", "cod" and "map"')
-    dom = graph_from_json(data["dom"])
-    cod = graph_from_json(data["cod"])
-    return make_graph_hom(dom, cod, data["map"])

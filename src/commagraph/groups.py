@@ -852,16 +852,6 @@ def commutation_counit(h: FiniteGroup) -> GroupHom:
 # ---------------------------------------------------------------------------
 # JSON forms
 
-def word_to_json(w: Word) -> list[str]:
-    return word_to_tokens(as_word(w))
-
-
-def word_from_json(data: object) -> Word:
-    if not isinstance(data, list) or not all(isinstance(t, str) for t in data):
-        raise MalformedInput("a word must be a JSON array of generator tokens")
-    return word_from_tokens(data)
-
-
 def group_to_json(h: GroupHandle) -> dict:
     if isinstance(h, Raag):
         return {"type": "raag", "presentation": graph_to_json(h.presentation)}

@@ -90,20 +90,3 @@ def finite_set_from_json(data: object) -> FiniteSet:
         raise MalformedInput("a finite set must be a JSON array of strings")
     return make_set(data)
 
-
-def set_map_to_json(f: SetMap) -> dict:
-    return {
-        "dom": finite_set_to_json(f.dom),
-        "cod": finite_set_to_json(f.cod),
-        "map": {label: f.mapping[label] for label in f.dom},
-    }
-
-
-def set_map_from_json(data: object) -> SetMap:
-    if not isinstance(data, dict) or not {"dom", "cod", "map"} <= set(data):
-        raise MalformedInput('a set map must be an object with "dom", "cod" and "map"')
-    if not isinstance(data["map"], dict):
-        raise MalformedInput('"map" must be an object of label pairs')
-    dom = finite_set_from_json(data["dom"])
-    cod = finite_set_from_json(data["cod"])
-    return make_map(dom, cod, data["map"])

@@ -4,52 +4,39 @@ Each suite exhaustively enumerates a bounded fragment, checks one universal
 property or agreement, and returns a deterministic report.  A failing
 report always carries a counterexample serialized in the same JSON the CLI
 accepts, so any failure replays as a single CLI invocation.
+
+A suite is a generator that yields once per case: None when the case
+passes, its counterexample when it fails.  A check that is not a case
+(fullness comparing a pair's two hom sets, group reflection checking its
+unit) ends the generator by returning its counterexample.  One driver
+counts the cases, stops at the first counterexample and builds the report;
+one registry, ``SUITES``, holds each suite's scope, default bounds and
+legal ranges, which the driver enforces on every call.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
+from math import comb
+from typing import Callable, Iterator
 
 from . import comma
-from .errors import NotFactorable
-from .graphs import (
-    Graph,
-    discrete,
-    enumerate_graph_homs,
-    graph_to_json,
-    indiscrete,
-    make_graph,
-)
+from .errors import NotFactorable, UnknownSuite, UsageError
+from .graphs import Graph, discrete, enumerate_graph_homs, graph_to_json, indiscrete, make_graph
 from .groups import (
-    ORACLE_DEFAULT_BOUND,
-    FiniteGroup,
-    _engine,
-    commutation_graph,
-    cyclic_group,
-    enumerate_homs_finite_to_finite,
-    enumerate_homs_raag_to_finite,
-    group_to_json,
-    klein_four_group,
-    raag_of,
-    symmetric_group_3,
-    trivial_group,
-    word_to_tokens,
+    ORACLE_DEFAULT_BOUND, FiniteGroup, _engine, commutation_graph, cyclic_group,
+    enumerate_homs_finite_to_finite, enumerate_homs_raag_to_finite, group_to_json,
+    klein_four_group, raag_of, symmetric_group_3, trivial_group, word_to_tokens,
 )
 from .sets import SetMap, make_set
 
 _LABELS = ("a", "b", "c", "d", "e")
 
-SUITE_NAMES = (
-    "unit-iso",
-    "fullness",
-    "ac-bijection",
-    "dvi",
-    "couniversal",
-    "group-reflection",
-    "word-differential",
-)
+# Most words the exhaustive phase of word-differential may enumerate; the
+# deepest sweep in use, length 7 over graphs on 0..3 vertices, is 2,731,330.
+WORD_BUDGET = 3_000_000
 
 
 @dataclass(frozen=True)
@@ -73,11 +60,7 @@ class CheckReport:
 def graphs_on(n: int):
     """All 2^C(n,2) labeled graphs on the first n standard labels."""
     labels = make_set(_LABELS[:n])
-    pairs = [
-        (labels.labels[i], labels.labels[j])
-        for i in range(n)
-        for j in range(i + 1, n)
-    ]
+    pairs = [(labels.labels[i], labels.labels[j]) for i in range(n) for j in range(i + 1, n)]
     for bits in range(2 ** len(pairs)):
         yield make_graph(labels, [p for k, p in enumerate(pairs) if bits >> k & 1])
 
@@ -88,13 +71,7 @@ def graphs_up_to(max_vertices: int):
 
 
 def default_ac_groups() -> list[FiniteGroup]:
-    return [
-        cyclic_group(2),
-        cyclic_group(3),
-        cyclic_group(4),
-        klein_four_group(),
-        symmetric_group_3(),
-    ]
+    return [cyclic_group(2), cyclic_group(3), cyclic_group(4), klein_four_group(), symmetric_group_3()]
 
 
 def default_pool(seed: int = 0) -> list[comma.CommaObject]:
@@ -108,108 +85,49 @@ def default_pool(seed: int = 0) -> list[comma.CommaObject]:
         elems = h.elements.labels
         pool.append(comma.make_comma_object(make_set(["x"]), h, {"x": rng.choice(elems)}))
         for _ in range(2):
-            pool.append(
-                comma.make_comma_object(
-                    make_set(["x", "y"]),
-                    h,
-                    {"x": rng.choice(elems), "y": rng.choice(elems)},
-                )
-            )
+            images = {"x": rng.choice(elems), "y": rng.choice(elems)}
+            pool.append(comma.make_comma_object(make_set(["x", "y"]), h, images))
     s3 = symmetric_group_3()
     pool.append(comma.make_comma_object(make_set(["x", "y"]), s3, {"x": "213", "y": "231"}))
     return pool
 
 
 # ---------------------------------------------------------------------------
-# Suites
+# Suites: one generator each, yielding None or a counterexample per case
 
-def check_unit_iso(max_vertices: int = 4) -> CheckReport:
-    """Embedding followed by coreflection gives every graph back exactly."""
-    if not 0 <= max_vertices <= 5:
-        raise ValueError("unit-iso sweep supports at most 5 vertices")
-    cases = 0
-    counterexample = None
+Cases = Iterator[dict | None]
+
+
+def _unit_iso(max_vertices: int) -> Cases:
     for g in graphs_up_to(max_vertices):
-        cases += 1
         core = comma.coreflect(comma.embed_graph(g))
-        if core.graph.vertices != g.vertices or core.graph.edges != g.edges:
-            counterexample = {
-                "graph": graph_to_json(g),
-                "coreflection": graph_to_json(core.graph),
-            }
-            break
-    return CheckReport(
-        "unit-iso",
-        f"all labeled graphs on 0..{max_vertices} vertices",
-        counterexample is None,
-        counterexample,
-        cases,
-    )
+        same = core.graph.vertices == g.vertices and core.graph.edges == g.edges
+        yield None if same else {"graph": graph_to_json(g), "coreflection": graph_to_json(core.graph)}
 
 
-def check_fullness(max_vertices: int = 3) -> CheckReport:
-    """Commuting squares between embedded graphs are exactly graph homs.
-
-    For every ordered pair of graphs, every vertex map inducing a valid
-    comma morphism (its group part is forced on generators) must be a graph
-    hom, and conversely; the two collections must agree one for one.
-    """
-    if not 0 <= max_vertices <= 3:
-        raise ValueError("fullness sweep supports at most 3 vertices")
-    cases = 0
-    counterexample = None
+def _fullness(max_vertices: int) -> Cases:
     pool = list(graphs_up_to(max_vertices))
     for g1 in pool:
         for g2 in pool:
+            pair = {"dom": graph_to_json(g1), "cod": graph_to_json(g2)}
             square_maps = set()
             for m in comma.enumerate_morphisms_from_embedded_graph(g1, comma.embed_graph(g2)):
-                cases += 1
-                if not comma.is_comma_morphism(m):
-                    counterexample = {
-                        "dom": graph_to_json(g1),
-                        "cod": graph_to_json(g2),
-                        "map": dict(m.f_set.mapping),
-                        "reason": "enumerated square does not commute",
-                    }
-                    break
-                square_maps.add(tuple(sorted(m.f_set.mapping.items())))
-            if counterexample is not None:
-                break
-            hom_maps = {
-                tuple(sorted(h.vmap.mapping.items()))
-                for h in enumerate_graph_homs(g1, g2)
-            }
+                if comma.is_comma_morphism(m):
+                    square_maps.add(tuple(sorted(m.f_set.mapping.items())))
+                    yield None
+                else:
+                    reason = "enumerated square does not commute"
+                    yield {**pair, "map": dict(m.f_set.mapping), "reason": reason}
+            hom_maps = {tuple(sorted(h.vmap.mapping.items())) for h in enumerate_graph_homs(g1, g2)}
             if square_maps != hom_maps:
-                diff = square_maps.symmetric_difference(hom_maps)
-                counterexample = {
-                    "dom": graph_to_json(g1),
-                    "cod": graph_to_json(g2),
-                    "map": dict(next(iter(sorted(diff)))),
-                    "squares": len(square_maps),
-                    "graph_homs": len(hom_maps),
-                }
-                break
-        if counterexample is not None:
-            break
-    return CheckReport(
-        "fullness",
-        f"all ordered pairs of labeled graphs on 0..{max_vertices} vertices",
-        counterexample is None,
-        counterexample,
-        cases,
-    )
+                first = dict(min(square_maps.symmetric_difference(hom_maps)))
+                return {**pair, "map": first, "squares": len(square_maps), "graph_homs": len(hom_maps)}
+    return None
 
 
-def check_ac_bijection(max_vertices: int = 3, groups: list[FiniteGroup] | None = None) -> CheckReport:
-    """Graph homs into the commutation graph correspond one for one with
-    group homs out of the presented group."""
-    if groups is None:
-        groups = default_ac_groups()
-    cases = 0
-    counterexample = None
+def _ac_bijection(max_vertices: int, groups: list[FiniteGroup]) -> Cases:
     for g in graphs_up_to(max_vertices):
         for h in groups:
-            cases += 1
             graph_side = {
                 tuple(sorted(f.vmap.mapping.items()))
                 for f in enumerate_graph_homs(g, commutation_graph(h))
@@ -218,77 +136,36 @@ def check_ac_bijection(max_vertices: int = 3, groups: list[FiniteGroup] | None =
                 tuple(sorted(f.generator_images.items()))
                 for f in enumerate_homs_raag_to_finite(raag_of(g), h)
             }
-            if graph_side != group_side:
-                counterexample = {
-                    "graph": graph_to_json(g),
-                    "group": group_to_json(h),
-                    "graph_homs": len(graph_side),
-                    "group_homs": len(group_side),
-                }
-                break
-        if counterexample is not None:
-            break
-    return CheckReport(
-        "ac-bijection",
-        f"graphs on 0..{max_vertices} vertices against {len(groups)} groups",
-        counterexample is None,
-        counterexample,
-        cases,
-    )
+            yield None if graph_side == group_side else {
+                "graph": graph_to_json(g),
+                "group": group_to_json(h),
+                "graph_homs": len(graph_side),
+                "group_homs": len(group_side),
+            }
 
 
-def check_dvi(max_set: int = 3, max_vertices: int = 3) -> CheckReport:
-    """Hom-count identities for the discrete and indiscrete constructions."""
-    cases = 0
-    counterexample = None
+def _dvi(max_set: int, max_vertices: int) -> Cases:
+    def mismatch(x, g, side: str, homs: list, expected: int) -> dict | None:
+        if len(homs) == expected:
+            return None
+        return {"set": list(x.labels), "graph": graph_to_json(g), "side": side,
+                "hom_count": len(homs), "expected": expected}
+
     for n in range(max_set + 1):
         x = make_set(_LABELS[:n])
         for g in graphs_up_to(max_vertices):
-            cases += 1
-            discrete_count = len(enumerate_graph_homs(discrete(x), g))
-            if discrete_count != len(g.vertices) ** len(x):
-                counterexample = {
-                    "set": list(x.labels),
-                    "graph": graph_to_json(g),
-                    "side": "discrete",
-                    "hom_count": discrete_count,
-                    "expected": len(g.vertices) ** len(x),
-                }
-                break
-            indiscrete_count = len(enumerate_graph_homs(g, indiscrete(x)))
-            if indiscrete_count != len(x) ** len(g.vertices):
-                counterexample = {
-                    "set": list(x.labels),
-                    "graph": graph_to_json(g),
-                    "side": "indiscrete",
-                    "hom_count": indiscrete_count,
-                    "expected": len(x) ** len(g.vertices),
-                }
-                break
-        if counterexample is not None:
-            break
-    return CheckReport(
-        "dvi",
-        f"sets of size 0..{max_set} against graphs on 0..{max_vertices} vertices",
-        counterexample is None,
-        counterexample,
-        cases,
-    )
+            v = len(g.vertices)
+            yield mismatch(x, g, "discrete", enumerate_graph_homs(discrete(x), g), v ** n) or mismatch(
+                x, g, "indiscrete", enumerate_graph_homs(g, indiscrete(x)), n ** v
+            )
 
 
-def check_couniversal(pool: list[comma.CommaObject] | None = None, max_vertices: int = 3) -> CheckReport:
-    """Every morphism from an embedded graph into a pool object factors
-    through the coreflection counit by exactly one graph hom."""
-    if pool is None:
-        pool = default_pool()
-    cases = 0
-    counterexample = None
+def _couniversal(pool: list[comma.CommaObject], max_vertices: int) -> Cases:
     for w in pool:
         core = comma.coreflect(w)
         for g in graphs_up_to(max_vertices):
             candidates = enumerate_graph_homs(g, core.graph)
             for m in comma.enumerate_morphisms_from_embedded_graph(g, w):
-                cases += 1
                 factors = [
                     h
                     for h in candidates
@@ -296,203 +173,278 @@ def check_couniversal(pool: list[comma.CommaObject] | None = None, max_vertices:
                 ]
                 witness = None
                 if len(factors) != 1:
-                    witness = {"factorizations": len(factors)}
+                    witness = len(factors)
                 else:
                     try:
                         found = comma.factor_through_coreflection(g, m)
                     except NotFactorable:
-                        witness = {"factorizations": "factor_through_coreflection failed"}
+                        witness = "factor_through_coreflection failed"
                     else:
                         if found.vmap.mapping != factors[0].vmap.mapping:
-                            witness = {"factorizations": "disagrees with the direct factor"}
-                if witness is not None:
-                    counterexample = {
-                        "graph": graph_to_json(g),
-                        "object": comma.comma_object_to_json(w),
-                        "morphism_f_set": dict(m.f_set.mapping),
-                        **witness,
-                    }
-                    break
-            if counterexample is not None:
-                break
-        if counterexample is not None:
-            break
-    return CheckReport(
-        "couniversal",
-        f"graphs on 0..{max_vertices} vertices into a pool of {len(pool)} objects",
-        counterexample is None,
-        counterexample,
-        cases,
-    )
+                            witness = "disagrees with the direct factor"
+                yield None if witness is None else {
+                    "graph": graph_to_json(g),
+                    "object": comma.comma_object_to_json(w),
+                    "morphism_f_set": dict(m.f_set.mapping),
+                    "factorizations": witness,
+                }
 
 
-def check_group_reflection(
-    pool: list[comma.CommaObject] | None = None,
-    codomains: list[FiniteGroup] | None = None,
-) -> CheckReport:
-    """The unit into the embedded target group is couniversal the other way
-    round: morphisms into embedded groups factor uniquely through it."""
-    if pool is None:
-        pool = default_pool()
-    if codomains is None:
-        codomains = [trivial_group(), cyclic_group(2), cyclic_group(3), cyclic_group(4), klein_four_group()]
-    cases = 0
-    counterexample = None
+def _group_reflection(pool: list[comma.CommaObject], codomains: list[FiniteGroup]) -> Cases:
     for w in pool:
         reflection = comma.reflect_to_group(w)
         if not comma.is_comma_morphism(reflection.unit):
-            counterexample = {
-                "object": comma.comma_object_to_json(w),
-                "reason": "unit is not a comma morphism",
-            }
-            break
+            return {"object": comma.comma_object_to_json(w), "reason": "unit is not a comma morphism"}
         for k in codomains:
             embedded = comma.embed_group(k)
             hom_list = enumerate_homs_finite_to_finite(w.target, k)
+            source = comma.embed_group(w.target)
             through = [
-                comma.CommaMorphism(
-                    comma.embed_group(w.target),
-                    embedded,
-                    SetMap(w.target.elements, k.elements, dict(f.table)),
-                    f,
-                )
+                comma.CommaMorphism(source, embedded, SetMap(source.gens, k.elements, dict(f.table)), f)
                 for f in hom_list
             ]
+            where = {"object": comma.comma_object_to_json(w), "codomain": group_to_json(k)}
             for f in hom_list:
-                cases += 1
-                m = comma.CommaMorphism(
-                    w,
-                    embedded,
-                    SetMap(w.gens, k.elements, {x: f.table[w.images[x]] for x in w.gens}),
-                    f,
-                )
-                if not comma.is_comma_morphism(m):
-                    counterexample = {
-                        "object": comma.comma_object_to_json(w),
-                        "codomain": group_to_json(k),
-                        "reason": "induced morphism into the embedded group does not commute",
-                    }
-                    break
-                factors = [
-                    g
-                    for g in through
-                    if comma.compose_comma(reflection.unit, g) == m
-                ]
-                if len(factors) != 1:
-                    counterexample = {
-                        "object": comma.comma_object_to_json(w),
-                        "codomain": group_to_json(k),
-                        "factorizations": len(factors),
-                    }
-                    break
-            if counterexample is not None:
-                break
-        if counterexample is not None:
-            break
-    return CheckReport(
-        "group-reflection",
-        f"a pool of {len(pool)} objects into {len(codomains)} embedded groups",
-        counterexample is None,
-        counterexample,
-        cases,
-    )
+                f_set = SetMap(w.gens, k.elements, {x: f.table[w.images[x]] for x in w.gens})
+                m = comma.CommaMorphism(w, embedded, f_set, f)
+                if comma.is_comma_morphism(m):
+                    factors = [g for g in through if comma.compose_comma(reflection.unit, g) == m]
+                    yield None if len(factors) == 1 else {**where, "factorizations": len(factors)}
+                else:
+                    reason = "induced morphism into the embedded group does not commute"
+                    yield {**where, "reason": reason}
+    return None
 
 
-def check_word_differential(
-    max_vertices: int = 3,
-    max_len: int = 6,
-    random_words: int = 10000,
-    random_max_len: int = 10,
-    random_max_vertices: int = 4,
-    seed: int = 0,
-) -> CheckReport:
-    """The cancellation engine against the brute-force shuffle oracle:
-    exhaustively on every word within the bounds over every labeled graph,
-    then on a seeded batch of random words over random graphs."""
+def _word_differential(
+    max_vertices: int,
+    max_len: int,
+    random_words: int,
+    random_max_len: int,
+    random_max_vertices: int,
+    rng: random.Random,
+) -> Cases:
     bound = max(ORACLE_DEFAULT_BOUND, max_len, random_max_len)
-    cases = 0
-    counterexample = None
 
-    def mismatch(graph: Graph, codes: tuple[int, ...]) -> dict:
-        engine = _engine(graph)
-        return {
-            "presentation": graph_to_json(graph),
-            "word": word_to_tokens(engine.decode(codes)),
-            "fast": engine.is_identity(codes),
-            "oracle": engine.oracle_is_identity(codes, bound),
-        }
+    def verdict(engine, graph: Graph, codes: tuple[int, ...]) -> dict | None:
+        fast, oracle = engine.is_identity(codes), engine.oracle_is_identity(codes, bound)
+        if fast == oracle:
+            return None
+        word = word_to_tokens(engine.decode(codes))
+        return {"presentation": graph_to_json(graph), "word": word, "fast": fast, "oracle": oracle}
 
     for g in graphs_up_to(max_vertices):
         engine = _engine(g)
         letters = range(2 * len(g.vertices))
         for length in range(max_len + 1):
             for codes in product(letters, repeat=length):
-                cases += 1
-                if engine.is_identity(codes) != engine.oracle_is_identity(codes, bound):
-                    counterexample = mismatch(g, codes)
-                    break
-            if counterexample is not None:
-                break
-        if counterexample is not None:
-            break
+                yield verdict(engine, g, codes)
 
-    if counterexample is None:
-        rng = random.Random(seed)
-        pairs = [
-            (_LABELS[i], _LABELS[j])
-            for i in range(random_max_vertices)
-            for j in range(i + 1, random_max_vertices)
-        ]
-        for _ in range(random_words):
-            n = rng.randint(1, random_max_vertices)
-            labels = make_set(_LABELS[:n])
-            edges = [p for p in pairs if p[1] in labels and rng.random() < 0.5]
-            g = make_graph(labels, edges)
-            engine = _engine(g)
-            length = rng.randint(0, random_max_len)
-            codes = tuple(rng.randrange(2 * n) for _ in range(length))
-            cases += 1
-            if engine.is_identity(codes) != engine.oracle_is_identity(codes, bound):
-                counterexample = mismatch(g, codes)
-                break
+    labels = _LABELS[:random_max_vertices]
+    pairs = [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:]]
+    for _ in range(random_words):
+        n = rng.randint(1, random_max_vertices)
+        vertices = make_set(_LABELS[:n])
+        g = make_graph(vertices, [p for p in pairs if p[1] in vertices and rng.random() < 0.5])
+        length = rng.randint(0, random_max_len)
+        yield verdict(_engine(g), g, tuple(rng.randrange(2 * n) for _ in range(length)))
 
-    return CheckReport(
-        "word-differential",
-        f"all words of length <= {max_len} over graphs on 0..{max_vertices} vertices, "
-        f"plus {random_words} seeded words of length <= {random_max_len} "
-        f"over graphs on <= {random_max_vertices} vertices",
-        counterexample is None,
-        counterexample,
-        cases,
+
+def _exhaustive_words(max_vertices: int, max_len: int, **_) -> int:
+    """Words of length <= max_len over all labeled graphs on 0..max_vertices vertices."""
+    return sum(
+        2 ** comb(n, 2) * sum((2 * n) ** length for length in range(max_len + 1))
+        for n in range(max_vertices + 1)
     )
 
 
 # ---------------------------------------------------------------------------
-# Dispatch used by the CLI
+# The registry and the driver
 
-def run_suite(
-    name: str,
+@dataclass(frozen=True)
+class Suite:
+    cases: Callable[..., Cases]
+    scope: str  # str.format template over the suite's arguments, a list given by its length
+    bounds: dict[str, tuple[int, int, int | None]]  # bound -> (default, least, greatest or None)
+    fixtures: dict[str, Callable[[int], object]] = field(default_factory=dict)  # built from the seed
+    words: Callable[..., int] | None = None  # exhaustive words the bounds admit, at most WORD_BUDGET
+
+
+_V = len(_LABELS)  # graphs are drawn on these labels, so no bound may ask for more vertices
+
+SUITES: dict[str, Suite] = {
+    "unit-iso": Suite(
+        _unit_iso, "all labeled graphs on 0..{max_vertices} vertices", {"max_vertices": (4, 0, _V)}
+    ),
+    "fullness": Suite(
+        _fullness,
+        "all ordered pairs of labeled graphs on 0..{max_vertices} vertices",
+        {"max_vertices": (3, 0, 3)},
+    ),
+    "ac-bijection": Suite(
+        _ac_bijection,
+        "graphs on 0..{max_vertices} vertices against {groups} groups",
+        {"max_vertices": (3, 0, _V)},
+        {"groups": lambda seed: default_ac_groups()},
+    ),
+    "dvi": Suite(
+        _dvi,
+        "sets of size 0..{max_set} against graphs on 0..{max_vertices} vertices",
+        {"max_set": (3, 0, _V), "max_vertices": (3, 0, _V)},
+    ),
+    "couniversal": Suite(
+        _couniversal,
+        "graphs on 0..{max_vertices} vertices into a pool of {pool} objects",
+        {"max_vertices": (3, 0, _V)},
+        {"pool": default_pool},
+    ),
+    "group-reflection": Suite(
+        _group_reflection,
+        "a pool of {pool} objects into {codomains} embedded groups",
+        {},
+        {
+            "pool": default_pool,
+            "codomains": lambda seed: [
+                trivial_group(), cyclic_group(2), cyclic_group(3), cyclic_group(4), klein_four_group()
+            ],
+        },
+    ),
+    "word-differential": Suite(
+        _word_differential,
+        "all words of length <= {max_len} over graphs on 0..{max_vertices} vertices, "
+        "plus {random_words} seeded words of length <= {random_max_len} "
+        "over graphs on <= {random_max_vertices} vertices",
+        {
+            "max_vertices": (3, 0, _V),
+            "max_len": (6, 0, 20),  # one vertex already gives 2^21 - 1 words at length 20
+            "random_words": (10000, 0, None),
+            "random_max_len": (10, 0, ORACLE_DEFAULT_BOUND),
+            "random_max_vertices": (4, 1, _V),
+        },
+        {"rng": random.Random},
+        _exhaustive_words,
+    ),
+}
+
+SUITE_NAMES = tuple(SUITES)
+
+
+def _suite(name: str) -> Suite:
+    if name not in SUITES:
+        raise UnknownSuite(f"unknown suite {name!r}; known: {', '.join(SUITE_NAMES)}")
+    return SUITES[name]
+
+
+def _bounds(name: str, given: dict) -> dict:
+    """The suite's bounds with defaults filled in, each checked against its range."""
+    suite = _suite(name)
+    bounds = {}
+    for key, (default, least, greatest) in suite.bounds.items():
+        value = default if given.get(key) is None else given[key]
+        if value < least or (greatest is not None and value > greatest):
+            legal = f">= {least}" if greatest is None else f"{least}..{greatest}"
+            raise UsageError(f"{name}: {key} = {value} is outside {legal}")
+        bounds[key] = value
+    words = 0 if suite.words is None else suite.words(**bounds)
+    if words > WORD_BUDGET:
+        raise UsageError(
+            f"{name}: the bounds admit {words:,} exhaustive words, over the budget of {WORD_BUDGET:,}"
+        )
+    return bounds
+
+
+def _drive(name: str, seed: int = 0, **given) -> CheckReport:
+    """Run a suite: the one place that counts cases and stops at the first counterexample."""
+    suite = _suite(name)
+    args = _bounds(name, given)
+    for key, build in suite.fixtures.items():
+        args[key] = build(seed) if given.get(key) is None else given[key]
+    cases = suite.cases(**args)
+    checked = 0
+    counterexample = None
+    try:
+        while counterexample is None:
+            counterexample = next(cases)
+            checked += 1
+    except StopIteration as end:
+        counterexample = end.value
+    scope = suite.scope.format(**{key: len(v) if isinstance(v, list) else v for key, v in args.items()})
+    return CheckReport(name, scope, counterexample is None, counterexample, checked)
+
+
+# ---------------------------------------------------------------------------
+# Public entry points; a bound left as None takes the registry's default
+
+def check_unit_iso(max_vertices: int | None = None) -> CheckReport:
+    """Embedding followed by coreflection gives every graph back exactly."""
+    return _drive("unit-iso", max_vertices=max_vertices)
+
+
+def check_fullness(max_vertices: int | None = None) -> CheckReport:
+    """Commuting squares between embedded graphs are exactly graph homs.
+
+    For every ordered pair of graphs, every vertex map inducing a valid
+    comma morphism (its group part is forced on generators) must be a graph
+    hom, and conversely; the two collections must agree one for one.
+    """
+    return _drive("fullness", max_vertices=max_vertices)
+
+
+def check_ac_bijection(
+    max_vertices: int | None = None, groups: list[FiniteGroup] | None = None
+) -> CheckReport:
+    """Graph homs into the commutation graph correspond one for one with
+    group homs out of the presented group."""
+    return _drive("ac-bijection", max_vertices=max_vertices, groups=groups)
+
+
+def check_dvi(max_set: int | None = None, max_vertices: int | None = None) -> CheckReport:
+    """Hom-count identities for the discrete and indiscrete constructions."""
+    return _drive("dvi", max_set=max_set, max_vertices=max_vertices)
+
+
+def check_couniversal(
+    pool: list[comma.CommaObject] | None = None, max_vertices: int | None = None
+) -> CheckReport:
+    """Every morphism from an embedded graph into a pool object factors
+    through the coreflection counit by exactly one graph hom."""
+    return _drive("couniversal", pool=pool, max_vertices=max_vertices)
+
+
+def check_group_reflection(
+    pool: list[comma.CommaObject] | None = None, codomains: list[FiniteGroup] | None = None
+) -> CheckReport:
+    """The unit into the embedded target group is couniversal the other way
+    round: morphisms into embedded groups factor uniquely through it."""
+    return _drive("group-reflection", pool=pool, codomains=codomains)
+
+
+def check_word_differential(
     max_vertices: int | None = None,
-    max_word_len: int | None = None,
+    max_len: int | None = None,
+    random_words: int | None = None,
+    random_max_len: int | None = None,
+    random_max_vertices: int | None = None,
     seed: int = 0,
 ) -> CheckReport:
-    """Run one suite by its public name, with optional bound overrides."""
-    if name == "unit-iso":
-        return check_unit_iso(4 if max_vertices is None else max_vertices)
-    if name == "fullness":
-        return check_fullness(3 if max_vertices is None else max_vertices)
-    if name == "ac-bijection":
-        return check_ac_bijection(3 if max_vertices is None else max_vertices)
-    if name == "dvi":
-        return check_dvi(3, 3 if max_vertices is None else max_vertices)
-    if name == "couniversal":
-        return check_couniversal(default_pool(seed), 3 if max_vertices is None else max_vertices)
-    if name == "group-reflection":
-        return check_group_reflection(default_pool(seed))
-    if name == "word-differential":
-        return check_word_differential(
-            3 if max_vertices is None else max_vertices,
-            6 if max_word_len is None else max_word_len,
-            seed=seed,
-        )
-    raise KeyError(name)
+    """The cancellation engine against the brute-force shuffle oracle:
+    exhaustively on every word within the bounds over every labeled graph,
+    then on a seeded batch of random words over random graphs."""
+    return _drive(
+        "word-differential", seed, max_vertices=max_vertices, max_len=max_len, random_words=random_words,
+        random_max_len=random_max_len, random_max_vertices=random_max_vertices,
+    )
+
+
+def validate(name: str, max_vertices: int | None = None, max_word_len: int | None = None) -> None:
+    """Raise what run_suite would raise for this name and these bounds, without running it."""
+    _bounds(name, {"max_vertices": max_vertices, "max_len": max_word_len})
+
+
+def run_suite(
+    name: str, max_vertices: int | None = None, max_word_len: int | None = None, seed: int = 0
+) -> CheckReport:
+    """Run one suite by its public name, with optional bound overrides that
+    it ignores where the suite has no such bound; an unknown name raises
+    UnknownSuite, a KeyError."""
+    return _drive(name, seed, max_vertices=max_vertices, max_len=max_word_len)

@@ -178,11 +178,31 @@ def test_check_failing_suite_exits_1(capsys, monkeypatch):
     assert "FAILED" in err
 
 
-def test_check_parallel_matches_serial(write, capsys):
-    code1, out1, _ = run(capsys, "check", "dvi", "fullness", "--max-vertices", "2")
-    code2, out2, _ = run(capsys, "check", "dvi", "fullness", "--max-vertices", "2", "--parallel")
-    assert code1 == code2 == 0
-    assert out1 == out2
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["unit-iso", "--max-vertices", "9"],
+        ["fullness", "--max-vertices", "4"],
+        ["dvi", "--max-vertices", "-1"],
+        ["dvi", "--max-vertices", "6"],
+        ["ac-bijection", "--max-vertices", "40"],
+        ["word-differential", "--max-word-len", "30"],
+        ["word-differential", "--max-word-len", "-2"],
+    ],
+)
+def test_check_out_of_range_bound_exits_3(capsys, argv):
+    code, out, err = run(capsys, "check", *argv)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_check_all_ignores_bounds_a_suite_does_not_take(capsys):
+    # unit-iso and the others take no word length; word-differential does
+    code, out, _ = run(capsys, "check", "all", "--max-word-len", "5")
+    assert code == 0
+    assert all(report["passed"] for report in json.loads(out))
 
 
 def test_output_is_byte_identical_across_runs(write, capsys):

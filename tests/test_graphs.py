@@ -20,7 +20,7 @@ from commagraph import (
     vertices_of_hom,
 )
 from commagraph.errors import DomainMismatch, LoopEdge, UnknownVertex
-from commagraph.graphs import GraphHom, graph_from_json, graph_hom_from_json, graph_hom_to_json, graph_to_json
+from commagraph.graphs import GraphHom, graph_from_json, graph_to_json
 from commagraph.sets import SetMap, compose_maps, identity_map
 from commagraph.verify import graphs_up_to
 
@@ -211,7 +211,3 @@ def test_iso_detects_relabeling():
 def test_graph_json_round_trip(g):
     assert graph_from_json(graph_to_json(g)) == g
 
-
-def test_graph_hom_json_round_trip():
-    f = make_graph_hom(edge_graph(), edge_graph("c", "d"), {"a": "c", "b": "d"})
-    assert graph_hom_from_json(graph_hom_to_json(f)) == f

@@ -57,10 +57,8 @@ from commagraph.groups import (
     group_to_json,
     identity_group_hom,
     make_group_hom,
-    word_from_json,
     word_from_tokens,
     word_inverse,
-    word_to_json,
 )
 from commagraph.verify import graphs_up_to
 
@@ -793,12 +791,6 @@ def test_commutation_counit_evaluates():
 
 # ---------------------------------------------------------------------------
 # JSON forms
-
-def test_word_json_round_trip():
-    w = (A, iB, A)
-    assert word_from_json(word_to_json(w)) == w
-    assert word_to_json(w) == ["a", "-b", "a"]
-
 
 def test_word_tokens_reject_bare_dash():
     with pytest.raises(MalformedInput):

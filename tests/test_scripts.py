@@ -1,0 +1,30 @@
+"""The scripts run end to end against the library's public entry points."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_script(*argv: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+
+
+def test_embedding_demo_runs():
+    result = run_script("embedding_demo.py")
+    assert result.returncode == 0, result.stderr
+
+
+def test_run_checks_small_sweep_passes():
+    result = run_script("run_checks.py", "--max-unit-iso", "2", "--max-word-len", "4", "--json")
+    assert result.returncode == 0, result.stderr
+    reports = json.loads(result.stdout)
+    assert reports and all(report["passed"] for report in reports)

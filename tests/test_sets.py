@@ -9,8 +9,6 @@ from commagraph.errors import DomainMismatch, DuplicateLabel, NotInCodomain, Not
 from commagraph.sets import (
     finite_set_from_json,
     finite_set_to_json,
-    set_map_from_json,
-    set_map_to_json,
 )
 
 from .strategies import LABELS
@@ -125,7 +123,3 @@ def test_finite_set_json_round_trip():
     s = make_set(["b", "a", "c"])
     assert finite_set_from_json(finite_set_to_json(s)) == s
 
-
-def test_set_map_json_round_trip():
-    f = make_map(make_set(["a", "b"]), make_set(["c"]), {"a": "c", "b": "c"})
-    assert set_map_from_json(set_map_to_json(f)) == f

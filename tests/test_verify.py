@@ -3,7 +3,7 @@ import pytest
 from commagraph import comma, verify
 from commagraph.graphs import Graph, graph_from_json
 from commagraph.groups import FiniteGroup, raag_of, word_from_tokens
-from commagraph.sets import make_set
+from commagraph.sets import SetMap, make_set
 
 
 def test_graphs_on_counts():
@@ -170,3 +170,129 @@ def test_report_json_shape():
     data = verify.check_dvi(1, 1).to_json()
     assert set(data) == {"name", "scope", "passed", "cases_checked", "counterexample"}
     assert data["passed"] is True and data["counterexample"] is None
+
+
+# ---------------------------------------------------------------------------
+# Failing reports: each mutation pins where the driver stops and what it counts
+
+def test_fullness_square_mutation_is_caught(monkeypatch):
+    real = comma.is_comma_morphism
+
+    def injective_only(m):
+        return real(m) and len(set(m.f_set.mapping.values())) == len(m.f_set.mapping)
+
+    monkeypatch.setattr(comma, "is_comma_morphism", injective_only)
+    report = verify.check_fullness(3)
+    assert not report.passed
+    assert report.cases_checked == 42
+    assert sorted(report.counterexample) == ["cod", "dom", "map", "reason"]
+    assert report.counterexample["map"] == {"a": "a", "b": "a"}
+
+
+def test_fullness_hom_set_mutation_is_caught(monkeypatch):
+    # the comparison of a pair's two hom sets is not a case: the squares of
+    # the failing pair are counted, the comparison itself is not
+    real = verify.enumerate_graph_homs
+
+    def one_short(g1, g2):
+        homs = real(g1, g2)
+        return homs[:-1] if g1.edges and g1 == g2 else homs
+
+    monkeypatch.setattr(verify, "enumerate_graph_homs", one_short)
+    report = verify.check_fullness(3)
+    assert not report.passed
+    assert report.cases_checked == 129
+    assert sorted(report.counterexample) == ["cod", "dom", "graph_homs", "map", "squares"]
+    assert (report.counterexample["squares"], report.counterexample["graph_homs"]) == (4, 3)
+
+
+def test_ac_bijection_mutation_is_caught(monkeypatch):
+    real = verify.enumerate_homs_raag_to_finite
+
+    def one_short(raag, h):
+        homs = real(raag, h)
+        return homs[1:] if len(raag.presentation.vertices) == 2 and len(h.elements) == 4 else homs
+
+    monkeypatch.setattr(verify, "enumerate_homs_raag_to_finite", one_short)
+    report = verify.check_ac_bijection(3)
+    assert not report.passed
+    assert report.cases_checked == 13
+    assert sorted(report.counterexample) == ["graph", "graph_homs", "group", "group_homs"]
+    assert (report.counterexample["graph_homs"], report.counterexample["group_homs"]) == (16, 15)
+
+
+def test_dvi_mutation_is_caught(monkeypatch):
+    monkeypatch.setattr(verify, "indiscrete", verify.discrete)
+    report = verify.check_dvi(3, 3)
+    assert not report.passed
+    assert report.cases_checked == 28
+    assert sorted(report.counterexample) == ["expected", "graph", "hom_count", "set", "side"]
+    assert report.counterexample["side"] == "indiscrete"
+
+
+def test_couniversal_mutation_is_caught(monkeypatch):
+    from commagraph.errors import NotFactorable
+
+    real = comma.factor_through_coreflection
+
+    def refuses_edges(g, m):
+        if g.edges:
+            raise NotFactorable("refused")
+        return real(g, m)
+
+    monkeypatch.setattr(comma, "factor_through_coreflection", refuses_edges)
+    report = verify.check_couniversal(max_vertices=3)
+    assert not report.passed
+    assert report.cases_checked == 5
+    assert sorted(report.counterexample) == ["factorizations", "graph", "morphism_f_set", "object"]
+    assert report.counterexample["factorizations"] == "factor_through_coreflection failed"
+
+
+def test_group_reflection_unit_mutation_is_caught(monkeypatch):
+    # the unit check is not a case: the cases of the earlier pool objects
+    # are counted, the failing unit is not
+    real = comma.reflect_to_group
+
+    def collapsed_unit(w):
+        reflection = real(w)
+        if len(w.gens) < 2:
+            return reflection
+        first = w.images[w.gens.labels[0]]
+        f_set = SetMap(w.gens, w.target.elements, {x: first for x in w.gens})
+        unit = comma.CommaMorphism(reflection.unit.src, reflection.unit.dst, f_set, reflection.unit.f_grp)
+        return comma.GroupReflection(reflection.group, unit)
+
+    monkeypatch.setattr(comma, "reflect_to_group", collapsed_unit)
+    report = verify.check_group_reflection()
+    assert not report.passed
+    assert report.cases_checked == 20
+    assert report.counterexample["reason"] == "unit is not a comma morphism"
+    assert sorted(report.counterexample) == ["object", "reason"]
+
+
+# ---------------------------------------------------------------------------
+# Bounds
+
+def test_bounds_in_use_are_legal():
+    # scripts/run_checks.py sweeps word length to 7 over graphs on <= 3 vertices
+    verify.validate("word-differential", max_vertices=3, max_word_len=7)
+    verify.validate("word-differential", max_vertices=1, max_word_len=8)
+    verify.validate("unit-iso", max_vertices=5)
+    verify.validate("ac-bijection", max_vertices=4)
+    verify.validate("dvi", max_vertices=4)
+    verify.validate("group-reflection", max_vertices=40)  # a bound it does not take is ignored
+
+
+def test_out_of_range_bounds_raise_usage_errors():
+    from commagraph.errors import UsageError
+
+    with pytest.raises(UsageError):
+        verify.check_dvi(max_vertices=-1)
+    with pytest.raises(UsageError):
+        verify.check_word_differential(max_len=8)  # 16,299,586 words over 0..3 vertices
+    with pytest.raises(UsageError):
+        verify.validate("word-differential", max_vertices=5)
+    with pytest.raises(UsageError):
+        verify.check_word_differential(random_max_vertices=6)
+    with pytest.raises(KeyError):
+        verify.validate("bogus")
