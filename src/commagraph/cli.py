@@ -42,7 +42,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_json(path: str):
-    return json.loads(Path(path).read_text())
+    text = Path(path).read_text()
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise MalformedInput("the JSON nests too deeply to read") from None
 
 
 def _emit(data, args) -> None:

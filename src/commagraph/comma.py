@@ -66,10 +66,12 @@ class CommaMorphism:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CommaMorphism):
             return NotImplemented
+        # the set maps are plain dicts and settle most comparisons; the
+        # objects and group parts may need the word engine
         return (
-            self.src == other.src
+            self.f_set.mapping == other.f_set.mapping
+            and self.src == other.src
             and self.dst == other.dst
-            and self.f_set.mapping == other.f_set.mapping
             and self.f_grp == other.f_grp
         )
 

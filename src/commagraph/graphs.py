@@ -177,7 +177,9 @@ def graph_from_json(data: object) -> Graph:
         raise MalformedInput('a graph must be an object with "vertices" and "edges"')
     vertices = finite_set_from_json(data["vertices"])
     edges = data.get("edges", [])
-    if not isinstance(edges, list) or not all(isinstance(e, list) and len(e) == 2 for e in edges):
-        raise MalformedInput('"edges" must be an array of two-element arrays')
+    if not isinstance(edges, list) or not all(
+        isinstance(e, list) and len(e) == 2 and all(isinstance(x, str) for x in e) for e in edges
+    ):
+        raise MalformedInput('"edges" must be an array of two-element arrays of vertex labels')
     return make_graph(vertices, edges)
 

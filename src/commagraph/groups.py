@@ -131,7 +131,7 @@ class Raag:
         return word_inverse(as_word(a))
 
     def equal(self, a: Word, b: Word) -> bool:
-        return raag_equal(self, a, b)
+        return a == b or raag_equal(self, a, b)
 
     def commutes(self, a: Word, b: Word) -> bool:
         return raag_commute(self, a, b)

@@ -126,11 +126,12 @@ def _fullness(max_vertices: int) -> Cases:
 
 
 def _ac_bijection(max_vertices: int, groups: list[FiniteGroup]) -> Cases:
+    targets = [(h, commutation_graph(h)) for h in groups]
     for g in graphs_up_to(max_vertices):
-        for h in groups:
+        for h, h_graph in targets:
             graph_side = {
                 tuple(sorted(f.vmap.mapping.items()))
-                for f in enumerate_graph_homs(g, commutation_graph(h))
+                for f in enumerate_graph_homs(g, h_graph)
             }
             group_side = {
                 tuple(sorted(f.generator_images.items()))
@@ -164,13 +165,12 @@ def _couniversal(pool: list[comma.CommaObject], max_vertices: int) -> Cases:
     for w in pool:
         core = comma.coreflect(w)
         for g in graphs_up_to(max_vertices):
-            candidates = enumerate_graph_homs(g, core.graph)
+            composites = [
+                (h, comma.compose_comma(comma.embed_graph_hom(h), core.counit))
+                for h in enumerate_graph_homs(g, core.graph)
+            ]
             for m in comma.enumerate_morphisms_from_embedded_graph(g, w):
-                factors = [
-                    h
-                    for h in candidates
-                    if comma.compose_comma(comma.embed_graph_hom(h), core.counit) == m
-                ]
+                factors = [h for h, composite in composites if composite == m]
                 witness = None
                 if len(factors) != 1:
                     witness = len(factors)
@@ -203,13 +203,16 @@ def _group_reflection(pool: list[comma.CommaObject], codomains: list[FiniteGroup
                 comma.CommaMorphism(source, embedded, SetMap(source.gens, k.elements, dict(f.table)), f)
                 for f in hom_list
             ]
+            composites = None
             where = {"object": comma.comma_object_to_json(w), "codomain": group_to_json(k)}
             for f in hom_list:
                 f_set = SetMap(w.gens, k.elements, {x: f.table[w.images[x]] for x in w.gens})
                 m = comma.CommaMorphism(w, embedded, f_set, f)
                 if comma.is_comma_morphism(m):
-                    factors = [g for g in through if comma.compose_comma(reflection.unit, g) == m]
-                    yield None if len(factors) == 1 else {**where, "factorizations": len(factors)}
+                    if composites is None:
+                        composites = [comma.compose_comma(reflection.unit, g) for g in through]
+                    factors = sum(composite == m for composite in composites)
+                    yield None if factors == 1 else {**where, "factorizations": factors}
                 else:
                     reason = "induced morphism into the embedded group does not commute"
                     yield {**where, "reason": reason}

@@ -131,6 +131,23 @@ def test_commutation_graph_rejects_table_rows_that_are_not_arrays(write, capsys)
     assert err.startswith("error: MalformedInput") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["raag-reduce", "homs", "gamma"])
+def test_non_string_edge_endpoint_exits_2(write, capsys, command):
+    bad = write("bad.json", {"vertices": ["a", "b"], "edges": [[["a"], "b"]]})
+    argv = {"raag-reduce": [bad, "a"], "homs": [bad, write("edge.json", EDGE)], "gamma": [bad]}[command]
+    code, out, err = run(capsys, command, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: MalformedInput") and err.count("\n") == 1
+
+
+def test_deeply_nested_json_exits_2(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    code, out, err = run(capsys, "gamma", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: MalformedInput") and err.count("\n") == 1
+
+
 def test_homs_graph_to_graph(write, capsys):
     other = {"vertices": ["c", "d"], "edges": [["c", "d"]]}
     code, out, _ = run(capsys, "homs", write("edge.json", EDGE), write("other.json", other))

@@ -41,7 +41,7 @@ from commagraph.errors import (
     UnknownGenerator,
 )
 from commagraph.groups import GroupHom, identity_group_hom
-from commagraph.sets import identity_map
+from commagraph.sets import SetMap, identity_map
 from commagraph.verify import default_pool, graphs_up_to
 
 from .strategies import graphs
@@ -116,6 +116,40 @@ def test_identity_group_part_does_not_commute():
     dst = make_comma_object(make_set(["x"]), c4, {"x": "g2"})
     m = CommaMorphism(src, dst, identity_map(src.gens), identity_group_hom(c4))
     assert not is_comma_morphism(m)
+
+
+def test_equality_over_a_raag_compares_elements_not_words():
+    raag = raag_of(edge_graph())
+    a, b, ia = ("a", 1), ("b", 1), ("a", -1)
+
+    def obj(image):
+        return make_comma_object(make_set(["x"]), raag, {"x": image})
+
+    # different words for one element: only the word engine can tell
+    assert obj((a, b)) == obj((b, a))
+    assert obj((a, ia, b)) == obj((b,))
+    assert obj((a, b)) != obj((a,))
+    free = raag_of(discrete(make_set(["a", "b"])))
+    assert make_comma_object(make_set(["x"]), free, {"x": (a, b)}) != make_comma_object(
+        make_set(["x"]), free, {"x": (b, a)}
+    )
+
+
+def test_morphisms_with_equal_set_maps_can_differ():
+    raag = raag_of(edge_graph())
+    a, b, ib = ("a", 1), ("b", 1), ("b", -1)
+    src = embed_graph(make_graph(make_set(["v"]), []))
+    dst = make_comma_object(make_set(["x"]), raag, {"x": (a,)})
+    other_dst = make_comma_object(make_set(["x"]), raag, {"x": (b,)})
+    f_set = SetMap(src.gens, dst.gens, {"v": "x"})
+
+    def f_grp(image):
+        return GroupHom(src.target, raag, generator_images={"v": image})
+
+    m = CommaMorphism(src, dst, f_set, f_grp((a,)))
+    assert m == CommaMorphism(src, dst, f_set, f_grp((b, a, ib)))
+    assert m != CommaMorphism(src, other_dst, f_set, f_grp((a,)))
+    assert m != CommaMorphism(src, dst, f_set, f_grp((b,)))
 
 
 def test_compose_with_identity():

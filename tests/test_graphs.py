@@ -21,8 +21,9 @@ from commagraph import (
 )
 from commagraph.errors import DomainMismatch, LoopEdge, UnknownVertex
 from commagraph.graphs import GraphHom, graph_from_json, graph_to_json
+from commagraph.groups import commutation_graph
 from commagraph.sets import SetMap, compose_maps, identity_map
-from commagraph.verify import graphs_up_to
+from commagraph.verify import default_ac_groups, graphs_up_to
 
 from .strategies import LABELS, graphs
 
@@ -136,9 +137,12 @@ def _brute_force_homs(g, h):
 
 def test_enumeration_matches_brute_force_exhaustive():
     pool = list(graphs_up_to(3))
-    for g in pool:
-        for h in pool:
-            assert [f.vmap.mapping for f in enumerate_graph_homs(g, h)] == _brute_force_homs(g, h)
+    pairs = [(g, h) for g in pool for h in pool]
+    # the traffic of ac-bijection: graphs into commutation graphs of groups
+    targets = [commutation_graph(k) for k in default_ac_groups()]
+    pairs += [(g, h) for g in graphs_up_to(4) for h in targets]
+    for g, h in pairs:
+        assert [f.vmap.mapping for f in enumerate_graph_homs(g, h)] == _brute_force_homs(g, h)
 
 
 @given(graphs(max_vertices=4), graphs(max_vertices=4))

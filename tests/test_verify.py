@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from commagraph import comma, verify
@@ -97,6 +99,14 @@ def test_couniversal_abelian_pool_object_alone():
     pool = [make_comma_object(make_set(["x", "y"]), cyclic_group(4), {"x": "g", "y": "g2"})]
     report = verify.check_couniversal(pool, 2)
     assert report.passed
+
+
+def test_couniversal_is_fast_at_four_vertices():
+    # about 1 s on a 2-core Xeon VM; 5 s leaves room for slower machines
+    start = time.perf_counter()
+    report = verify.check_couniversal(max_vertices=4)
+    assert time.perf_counter() - start < 5.0
+    assert report.passed and report.cases_checked == 10778
 
 
 def test_group_reflection_passes():
