@@ -13,12 +13,6 @@ import time
 from commagraph import verify
 
 
-def timed(fn):
-    start = time.perf_counter()
-    report = fn()
-    return report, time.perf_counter() - start
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-unit-iso", type=int, default=5, help="deepest unit-iso vertex bound")
@@ -28,25 +22,23 @@ def main() -> int:
     args = parser.parse_args()
 
     rows = []
+
+    def run(row: str, name: str, **bounds) -> None:
+        start = time.perf_counter()
+        report = verify.run_suite(name, seed=args.seed, **bounds)
+        rows.append((row, report, time.perf_counter() - start))
+
     for bound in range(1, args.max_unit_iso + 1):
-        report, elapsed = timed(lambda b=bound: verify.check_unit_iso(b))
-        rows.append((f"unit-iso <= {bound}", report, elapsed))
-    for bound in range(1, 4):
-        report, elapsed = timed(lambda b=bound: verify.check_fullness(b))
-        rows.append((f"fullness <= {bound}", report, elapsed))
-    report, elapsed = timed(lambda: verify.check_ac_bijection(3))
-    rows.append(("ac-bijection <= 3", report, elapsed))
-    report, elapsed = timed(lambda: verify.check_dvi(3, 3))
-    rows.append(("dvi <= 3", report, elapsed))
-    report, elapsed = timed(lambda: verify.check_couniversal(verify.default_pool(args.seed), 3))
-    rows.append(("couniversal <= 3", report, elapsed))
-    report, elapsed = timed(lambda: verify.check_group_reflection(verify.default_pool(args.seed)))
-    rows.append(("group-reflection", report, elapsed))
+        run(f"unit-iso <= {bound}", "unit-iso", max_vertices=bound)
+    _, _, deepest = verify.SUITES["fullness"].bounds["max_vertices"]
+    for bound in range(1, deepest + 1):
+        run(f"fullness <= {bound}", "fullness", max_vertices=bound)
+    for name in ("ac-bijection", "dvi", "couniversal"):
+        default, _, _ = verify.SUITES[name].bounds["max_vertices"]
+        run(f"{name} <= {default}", name)
+    run("group-reflection", "group-reflection")
     for length in range(4, args.max_word_len + 1):
-        report, elapsed = timed(
-            lambda n=length: verify.check_word_differential(3, n, random_words=0)
-        )
-        rows.append((f"word-differential len <= {length}", report, elapsed))
+        run(f"word-differential len <= {length}", "word-differential", max_len=length, random_words=0)
 
     if args.json:
         print(json.dumps([r.to_json() for _, r, _ in rows], indent=2))

@@ -18,11 +18,8 @@ from .graphs import (
     identity_hom,
     indiscrete,
     is_graph_hom,
-    is_graph_iso,
     make_graph,
     make_graph_hom,
-    vertices_of,
-    vertices_of_hom,
 )
 from .groups import (
     FiniteGroup,
@@ -32,14 +29,12 @@ from .groups import (
     commutation_counit,
     commutation_graph,
     cyclic_group,
-    dihedral_group_4,
     enumerate_homs_finite_to_finite,
     enumerate_homs_raag_to_finite,
     evaluate_word,
     finite_group_from_permutations,
     finite_group_from_table,
     free_group_on,
-    free_reduce,
     hom_check,
     klein_four_group,
     raag_commute,
@@ -65,19 +60,8 @@ from .comma import (
     enumerate_morphisms_from_embedded_graph,
     factor_through_coreflection,
     identity_comma,
-    is_canonical_raag_quotient,
     is_comma_morphism,
     make_comma_object,
     reflect_to_group,
 )
-from .verify import (
-    CheckReport,
-    check_ac_bijection,
-    check_couniversal,
-    check_dvi,
-    check_fullness,
-    check_group_reflection,
-    check_unit_iso,
-    check_word_differential,
-    default_pool,
-)
+from .verify import CheckReport, default_pool

@@ -42,9 +42,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_json(path: str):
-    text = Path(path).read_text()
     try:
-        return json.loads(text)
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise MalformedInput(f"the file is not UTF-8 text: {exc}") from None
     except RecursionError:
         raise MalformedInput("the JSON nests too deeply to read") from None
 
@@ -127,7 +128,7 @@ def _cmd_homs(args) -> int:
 
 def _cmd_check(args) -> int:
     names = verify.SUITE_NAMES if "all" in args.suites else args.suites
-    bounds = {"max_vertices": args.max_vertices, "max_word_len": args.max_word_len}
+    bounds = {"max_vertices": args.max_vertices, "max_len": args.max_word_len}
     for name in names:
         verify.validate(name, **bounds)
     reports = [verify.run_suite(name, seed=args.seed, **bounds) for name in names]
@@ -142,14 +143,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="commagraph", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, reads_groups=False):
         p.add_argument("--output", help="write the JSON result to this file instead of stdout")
-        p.add_argument(
-            "--closure-cap",
-            type=int,
-            default=CLOSURE_DEFAULT_CAP,
-            help="largest permutation closure the group reader will compute",
-        )
+        if reads_groups:
+            p.add_argument(
+                "--closure-cap",
+                type=int,
+                default=CLOSURE_DEFAULT_CAP,
+                help="largest permutation closure the group reader will compute",
+            )
 
     p = sub.add_parser("gamma", help="embed a graph as a comma object over its presented group")
     p.add_argument("graph", help="graph JSON file")
@@ -158,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coreflect", help="best graph approximation of a comma object")
     p.add_argument("object", help="comma object JSON file")
-    common(p)
+    common(p, reads_groups=True)
     p.set_defaults(func=_cmd_coreflect)
 
     p = sub.add_parser("raag-reduce", help="canonical form of a word in a graph's presented group")
@@ -171,13 +173,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("commutation-graph", help="commutation graph of a finite group")
     p.add_argument("group", help="group JSON file")
-    common(p)
+    common(p, reads_groups=True)
     p.set_defaults(func=_cmd_commutation_graph)
 
     p = sub.add_parser("homs", help="enumerate homs from a graph into a graph or finite group")
     p.add_argument("graph", help="domain graph JSON file")
     p.add_argument("target", help="codomain graph or group JSON file")
-    common(p)
+    common(p, reads_groups=True)
     p.set_defaults(func=_cmd_homs)
 
     p = sub.add_parser("check", help="run named verification suites")

@@ -24,22 +24,20 @@ from typing import Mapping
 from .errors import MalformedInput, MissingImage, NotFactorable, NotFiniteTarget, ObjectMismatch
 from .graphs import Graph, GraphHom, is_graph_hom
 from .groups import (
+    CLOSURE_DEFAULT_CAP,
     FiniteGroup,
     GroupHandle,
     GroupHom,
-    Raag,
     apply_hom,
-    as_word,
     compose_group_homs,
     group_from_json,
     group_to_json,
     hom_check,
     identity_group_hom,
-    make_group_hom,
     raag_of,
     raag_on_hom,
 )
-from .sets import FiniteSet, SetMap, compose_maps, finite_set_from_json, identity_map, make_map
+from .sets import FiniteSet, SetMap, compose_maps, finite_set_from_json, identity_map
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,17 +240,6 @@ def reflect_to_group(w: CommaObject) -> GroupReflection:
     return GroupReflection(w.target, unit)
 
 
-def is_canonical_raag_quotient(w: CommaObject) -> bool:
-    """Syntactic recognizer for embedded graphs: the target must be the
-    group presented by a graph on exactly w's generators, each mapping to
-    its own single-letter word."""
-    if not isinstance(w.target, Raag):
-        return False
-    if w.target.presentation.vertices != w.gens:
-        return False
-    return all(as_word(w.images[x]) == ((x, 1),) for x in w.gens)
-
-
 # ---------------------------------------------------------------------------
 # JSON forms
 
@@ -264,7 +251,7 @@ def comma_object_to_json(w: CommaObject) -> dict:
     }
 
 
-def comma_object_from_json(data: object, closure_cap: int = 10000) -> CommaObject:
+def comma_object_from_json(data: object, closure_cap: int = CLOSURE_DEFAULT_CAP) -> CommaObject:
     if not isinstance(data, dict) or not {"gens", "target", "images"} <= set(data):
         raise MalformedInput('a comma object needs "gens", "target" and "images"')
     gens = finite_set_from_json(data["gens"])
@@ -292,28 +279,3 @@ def comma_morphism_to_json(m: CommaMorphism) -> dict:
         "f_set": {x: m.f_set.mapping[x] for x in m.f_set.dom},
         "f_grp": grp,
     }
-
-
-def comma_morphism_from_json(data: object, closure_cap: int = 10000) -> CommaMorphism:
-    if not isinstance(data, dict) or not {"from", "to", "f_set", "f_grp"} <= set(data):
-        raise MalformedInput('a comma morphism needs "from", "to", "f_set" and "f_grp"')
-    src = comma_object_from_json(data["from"], closure_cap=closure_cap)
-    dst = comma_object_from_json(data["to"], closure_cap=closure_cap)
-    f_set = make_map(src.gens, dst.gens, data["f_set"])
-    grp_data = data["f_grp"]
-    if not isinstance(grp_data, dict):
-        raise MalformedInput('"f_grp" must be an object')
-    if "generator_images" in grp_data:
-        images = {
-            g: dst.target.element_from_json(v)
-            for g, v in grp_data["generator_images"].items()
-        }
-        f_grp = make_group_hom(src.target, dst.target, generator_images=images)
-    elif "table" in grp_data:
-        f_grp = make_group_hom(src.target, dst.target, table=grp_data["table"])
-    else:
-        raise MalformedInput('"f_grp" needs "generator_images" or "table"')
-    m = CommaMorphism(src, dst, f_set, f_grp)
-    if not is_comma_morphism(m):
-        raise MalformedInput("the square of the comma morphism does not commute")
-    return m

@@ -78,14 +78,6 @@ def indiscrete(x: FiniteSet) -> Graph:
     return Graph(x, edges)
 
 
-def vertices_of(g: Graph) -> FiniteSet:
-    return g.vertices
-
-
-def vertices_of_hom(f: GraphHom) -> SetMap:
-    return f.vmap
-
-
 def is_graph_hom(dom: Graph, cod: Graph, vmap: SetMap) -> bool:
     """True iff every edge lands on an edge or collapses to one vertex."""
     if vmap.dom != dom.vertices or vmap.cod != cod.vertices:
@@ -152,17 +144,6 @@ def enumerate_graph_homs(g: Graph, h: Graph) -> list[GraphHom]:
 
     extend(0)
     return out
-
-
-def is_graph_iso(f: GraphHom) -> bool:
-    """True iff the vertex map is a bijection whose inverse is also a hom."""
-    mapping = f.vmap.mapping
-    if len(set(mapping.values())) != len(f.cod.vertices) or len(f.dom.vertices) != len(f.cod.vertices):
-        return False
-    inverse = {image: v for v, image in mapping.items()}
-    if not is_graph_hom(f.dom, f.cod, f.vmap):
-        return False
-    return is_graph_hom(f.cod, f.dom, SetMap(f.cod.vertices, f.dom.vertices, inverse))
 
 
 def graph_to_json(g: Graph) -> dict:

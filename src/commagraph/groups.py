@@ -95,17 +95,6 @@ def word_concat(*ws: Word) -> Word:
     return out
 
 
-def free_reduce(w: Iterable) -> Word:
-    """Cancel adjacent inverse pairs until none remain."""
-    out: list[tuple[str, int]] = []
-    for gen, sign in as_word(w):
-        if out and out[-1][0] == gen and out[-1][1] == -sign:
-            out.pop()
-        else:
-            out.append((gen, sign))
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # Right-angled Artin groups
 
@@ -581,11 +570,6 @@ def symmetric_group_3() -> FiniteGroup:
     return finite_group_from_permutations(3, [(2, 1, 3), (2, 3, 1)])
 
 
-def dihedral_group_4() -> FiniteGroup:
-    """Symmetries of the square, order 8."""
-    return finite_group_from_permutations(4, [(2, 3, 4, 1), (2, 1, 4, 3)])
-
-
 def _commuting(h: FiniteGroup) -> list[list[int]]:
     """For each element index, the ascending indices of the elements that
     commute with it, itself included."""
@@ -696,37 +680,6 @@ def hom_check(f: GroupHom) -> bool:
         for a in f.dom.elements
         for b in f.dom.elements
     )
-
-
-def make_group_hom(
-    dom: GroupHandle,
-    cod: GroupHandle,
-    generator_images: Mapping[str, object] | None = None,
-    table: Mapping[str, str] | None = None,
-) -> GroupHom:
-    """Validated constructor: images complete and in the codomain, and the
-    homomorphism property holds."""
-    if isinstance(dom, Raag):
-        if generator_images is None:
-            raise MissingImage("a presented domain needs generator images")
-        images = {}
-        for gen in dom.generators:
-            if gen not in generator_images:
-                raise MissingImage(f"no image given for generator {gen!r}")
-            images[gen] = cod.validate_element(generator_images[gen])
-        f = GroupHom(dom, cod, generator_images=images)
-    else:
-        if table is None:
-            raise MissingImage("a finite domain needs a full element table")
-        full = {}
-        for a in dom.elements:
-            if a not in table:
-                raise MissingImage(f"no image given for element {a!r}")
-            full[a] = cod.validate_element(table[a])
-        f = GroupHom(dom, cod, table=full)
-    if not hom_check(f):
-        raise InvalidHom("the assignment does not respect the domain's relations")
-    return f
 
 
 def identity_group_hom(h: GroupHandle) -> GroupHom:

@@ -2,16 +2,17 @@
 
 Each suite exhaustively enumerates a bounded fragment, checks one universal
 property or agreement, and returns a deterministic report.  A failing
-report always carries a counterexample serialized in the same JSON the CLI
-accepts, so any failure replays as a single CLI invocation.
+report carries its counterexample in the CLI's JSON forms (graphs, groups,
+comma objects, word tokens), so its inputs can be fed back to the CLI's
+subcommands, though not every failure replays as one CLI call.
 
 A suite is a generator that yields once per case: None when the case
 passes, its counterexample when it fails.  A check that is not a case
 (fullness comparing a pair's two hom sets, group reflection checking its
-unit) ends the generator by returning its counterexample.  One driver
-counts the cases, stops at the first counterexample and builds the report;
-one registry, ``SUITES``, holds each suite's scope, default bounds and
-legal ranges, which the driver enforces on every call.
+unit) ends the generator by returning its counterexample.  One driver,
+``run_suite``, counts the cases, stops at the first counterexample and
+builds the report; one registry, ``SUITES``, holds each suite's scope,
+default bounds and legal ranges, which the driver enforces on every call.
 """
 
 from __future__ import annotations
@@ -99,6 +100,7 @@ Cases = Iterator[dict | None]
 
 
 def _unit_iso(max_vertices: int) -> Cases:
+    """Embedding followed by coreflection gives every graph back exactly."""
     for g in graphs_up_to(max_vertices):
         core = comma.coreflect(comma.embed_graph(g))
         same = core.graph.vertices == g.vertices and core.graph.edges == g.edges
@@ -106,6 +108,12 @@ def _unit_iso(max_vertices: int) -> Cases:
 
 
 def _fullness(max_vertices: int) -> Cases:
+    """Commuting squares between embedded graphs are exactly graph homs.
+
+    For every ordered pair of graphs, every vertex map inducing a valid
+    comma morphism (its group part is forced on generators) must be a graph
+    hom, and conversely; the two collections must agree one for one.
+    """
     pool = list(graphs_up_to(max_vertices))
     for g1 in pool:
         for g2 in pool:
@@ -126,6 +134,8 @@ def _fullness(max_vertices: int) -> Cases:
 
 
 def _ac_bijection(max_vertices: int, groups: list[FiniteGroup]) -> Cases:
+    """Graph homs into the commutation graph correspond one for one with
+    group homs out of the presented group."""
     targets = [(h, commutation_graph(h)) for h in groups]
     for g in graphs_up_to(max_vertices):
         for h, h_graph in targets:
@@ -146,6 +156,8 @@ def _ac_bijection(max_vertices: int, groups: list[FiniteGroup]) -> Cases:
 
 
 def _dvi(max_set: int, max_vertices: int) -> Cases:
+    """Hom-count identities for the discrete and indiscrete constructions."""
+
     def mismatch(x, g, side: str, homs: list, expected: int) -> dict | None:
         if len(homs) == expected:
             return None
@@ -162,6 +174,8 @@ def _dvi(max_set: int, max_vertices: int) -> Cases:
 
 
 def _couniversal(pool: list[comma.CommaObject], max_vertices: int) -> Cases:
+    """Every morphism from an embedded graph into a pool object factors
+    through the coreflection counit by exactly one graph hom."""
     for w in pool:
         core = comma.coreflect(w)
         for g in graphs_up_to(max_vertices):
@@ -191,6 +205,8 @@ def _couniversal(pool: list[comma.CommaObject], max_vertices: int) -> Cases:
 
 
 def _group_reflection(pool: list[comma.CommaObject], codomains: list[FiniteGroup]) -> Cases:
+    """The unit into the embedded target group is couniversal the other way
+    round: morphisms into embedded groups factor uniquely through it."""
     for w in pool:
         reflection = comma.reflect_to_group(w)
         if not comma.is_comma_morphism(reflection.unit):
@@ -227,6 +243,9 @@ def _word_differential(
     random_max_vertices: int,
     rng: random.Random,
 ) -> Cases:
+    """The cancellation engine against the brute-force shuffle oracle:
+    exhaustively on every word within the bounds over every labeled graph,
+    then on a seeded batch of random words over random graphs."""
     bound = max(ORACLE_DEFAULT_BOUND, max_len, random_max_len)
 
     def verdict(engine, graph: Graph, codes: tuple[int, ...]) -> dict | None:
@@ -330,6 +349,7 @@ SUITES: dict[str, Suite] = {
 }
 
 SUITE_NAMES = tuple(SUITES)
+_ARGUMENT_NAMES = {key for suite in SUITES.values() for key in (*suite.bounds, *suite.fixtures)}
 
 
 def _suite(name: str) -> Suite:
@@ -341,6 +361,9 @@ def _suite(name: str) -> Suite:
 def _bounds(name: str, given: dict) -> dict:
     """The suite's bounds with defaults filled in, each checked against its range."""
     suite = _suite(name)
+    unknown = sorted(set(given) - _ARGUMENT_NAMES)
+    if unknown:
+        raise UsageError(f"{name}: no suite takes {', '.join(unknown)}")
     bounds = {}
     for key, (default, least, greatest) in suite.bounds.items():
         value = default if given.get(key) is None else given[key]
@@ -356,8 +379,15 @@ def _bounds(name: str, given: dict) -> dict:
     return bounds
 
 
-def _drive(name: str, seed: int = 0, **given) -> CheckReport:
-    """Run a suite: the one place that counts cases and stops at the first counterexample."""
+def validate(name: str, **given) -> None:
+    """Raise what run_suite would raise for this name and these bounds, without running it."""
+    _bounds(name, given)
+
+
+def run_suite(name: str, seed: int = 0, **given) -> CheckReport:
+    """Run a suite: the one place that counts cases and stops at the first
+    counterexample.  Bounds and fixtures go by their registry names, None
+    meaning the default, and a name the suite does not take is ignored."""
     suite = _suite(name)
     args = _bounds(name, given)
     for key, build in suite.fixtures.items():
@@ -373,81 +403,3 @@ def _drive(name: str, seed: int = 0, **given) -> CheckReport:
         counterexample = end.value
     scope = suite.scope.format(**{key: len(v) if isinstance(v, list) else v for key, v in args.items()})
     return CheckReport(name, scope, counterexample is None, counterexample, checked)
-
-
-# ---------------------------------------------------------------------------
-# Public entry points; a bound left as None takes the registry's default
-
-def check_unit_iso(max_vertices: int | None = None) -> CheckReport:
-    """Embedding followed by coreflection gives every graph back exactly."""
-    return _drive("unit-iso", max_vertices=max_vertices)
-
-
-def check_fullness(max_vertices: int | None = None) -> CheckReport:
-    """Commuting squares between embedded graphs are exactly graph homs.
-
-    For every ordered pair of graphs, every vertex map inducing a valid
-    comma morphism (its group part is forced on generators) must be a graph
-    hom, and conversely; the two collections must agree one for one.
-    """
-    return _drive("fullness", max_vertices=max_vertices)
-
-
-def check_ac_bijection(
-    max_vertices: int | None = None, groups: list[FiniteGroup] | None = None
-) -> CheckReport:
-    """Graph homs into the commutation graph correspond one for one with
-    group homs out of the presented group."""
-    return _drive("ac-bijection", max_vertices=max_vertices, groups=groups)
-
-
-def check_dvi(max_set: int | None = None, max_vertices: int | None = None) -> CheckReport:
-    """Hom-count identities for the discrete and indiscrete constructions."""
-    return _drive("dvi", max_set=max_set, max_vertices=max_vertices)
-
-
-def check_couniversal(
-    pool: list[comma.CommaObject] | None = None, max_vertices: int | None = None
-) -> CheckReport:
-    """Every morphism from an embedded graph into a pool object factors
-    through the coreflection counit by exactly one graph hom."""
-    return _drive("couniversal", pool=pool, max_vertices=max_vertices)
-
-
-def check_group_reflection(
-    pool: list[comma.CommaObject] | None = None, codomains: list[FiniteGroup] | None = None
-) -> CheckReport:
-    """The unit into the embedded target group is couniversal the other way
-    round: morphisms into embedded groups factor uniquely through it."""
-    return _drive("group-reflection", pool=pool, codomains=codomains)
-
-
-def check_word_differential(
-    max_vertices: int | None = None,
-    max_len: int | None = None,
-    random_words: int | None = None,
-    random_max_len: int | None = None,
-    random_max_vertices: int | None = None,
-    seed: int = 0,
-) -> CheckReport:
-    """The cancellation engine against the brute-force shuffle oracle:
-    exhaustively on every word within the bounds over every labeled graph,
-    then on a seeded batch of random words over random graphs."""
-    return _drive(
-        "word-differential", seed, max_vertices=max_vertices, max_len=max_len, random_words=random_words,
-        random_max_len=random_max_len, random_max_vertices=random_max_vertices,
-    )
-
-
-def validate(name: str, max_vertices: int | None = None, max_word_len: int | None = None) -> None:
-    """Raise what run_suite would raise for this name and these bounds, without running it."""
-    _bounds(name, {"max_vertices": max_vertices, "max_len": max_word_len})
-
-
-def run_suite(
-    name: str, max_vertices: int | None = None, max_word_len: int | None = None, seed: int = 0
-) -> CheckReport:
-    """Run one suite by its public name, with optional bound overrides that
-    it ignores where the suite has no such bound; an unknown name raises
-    UnknownSuite, a KeyError."""
-    return _drive(name, seed, max_vertices=max_vertices, max_len=max_word_len)

@@ -41,7 +41,7 @@ def _timed(fn):
 
 
 def test_criterion_1_unit_isomorphism():
-    report, elapsed = _timed(lambda: verify.check_unit_iso(4))
+    report, elapsed = _timed(lambda: verify.run_suite("unit-iso", max_vertices=4))
     ok = report.passed and report.cases_checked == 76 and elapsed < 10
     _report(1, "unit isomorphism over all 76 graphs on 0-4 vertices", ok, elapsed, 10)
     assert report.passed, report.counterexample
@@ -50,7 +50,7 @@ def test_criterion_1_unit_isomorphism():
 
 
 def test_criterion_2_fullness_faithfulness():
-    report, elapsed = _timed(lambda: verify.check_fullness(3))
+    report, elapsed = _timed(lambda: verify.run_suite("fullness", max_vertices=3))
     ok = report.passed and elapsed < 30
     _report(2, "fullness and faithfulness on graphs up to 3 vertices", ok, elapsed, 30)
     assert report.passed, report.counterexample
@@ -59,7 +59,7 @@ def test_criterion_2_fullness_faithfulness():
 
 def test_criterion_3_ac_hom_bijection():
     def run():
-        report = verify.check_ac_bijection(3)
+        report = verify.run_suite("ac-bijection", max_vertices=3)
         edge = make_graph(make_set(["a", "b"]), [("a", "b")])
         s3 = symmetric_group_3()
         graph_side = len(enumerate_graph_homs(edge, commutation_graph(s3)))
@@ -75,7 +75,7 @@ def test_criterion_3_ac_hom_bijection():
 
 
 def test_criterion_4_discrete_indiscrete_bijections():
-    report, elapsed = _timed(lambda: verify.check_dvi(3, 3))
+    report, elapsed = _timed(lambda: verify.run_suite("dvi", max_set=3, max_vertices=3))
     ok = report.passed and elapsed < 5
     _report(4, "discrete/indiscrete hom-count identities", ok, elapsed, 5)
     assert report.passed, report.counterexample
@@ -83,7 +83,9 @@ def test_criterion_4_discrete_indiscrete_bijections():
 
 
 def test_criterion_5_couniversality():
-    report, elapsed = _timed(lambda: verify.check_couniversal(verify.default_pool(0), 3))
+    report, elapsed = _timed(
+        lambda: verify.run_suite("couniversal", pool=verify.default_pool(0), max_vertices=3)
+    )
     ok = report.passed and elapsed < 60
     _report(5, "couniversality of the explicit coreflector", ok, elapsed, 60)
     assert report.passed, report.counterexample
@@ -91,7 +93,7 @@ def test_criterion_5_couniversality():
 
 
 def test_criterion_6_group_reflection():
-    report, elapsed = _timed(lambda: verify.check_group_reflection())
+    report, elapsed = _timed(lambda: verify.run_suite("group-reflection"))
     ok = report.passed and elapsed < 30
     _report(6, "reflective embedding of groups", ok, elapsed, 30)
     assert report.passed, report.counterexample
@@ -100,8 +102,9 @@ def test_criterion_6_group_reflection():
 
 def test_criterion_7_word_problem_differential():
     report, elapsed = _timed(
-        lambda: verify.check_word_differential(
-            3, 6, random_words=10000, random_max_len=10, random_max_vertices=4, seed=0
+        lambda: verify.run_suite(
+            "word-differential", seed=0, max_vertices=3, max_len=6,
+            random_words=10000, random_max_len=10, random_max_vertices=4,
         )
     )
     ok = report.passed and elapsed < 120
@@ -130,13 +133,14 @@ def test_criterion_8_degenerate_cases():
         assert coreflect(w).graph == make_graph(make_set([]), [])
         # empty set and empty graph flow through every suite
         pool = [w, comma.make_comma_object(make_set([]), trivial_group(), {})]
-        assert verify.check_unit_iso(0).passed
-        assert verify.check_fullness(0).passed
-        assert verify.check_ac_bijection(0, [trivial_group()]).passed
-        assert verify.check_dvi(0, 0).passed
-        assert verify.check_couniversal(pool, 1).passed
-        assert verify.check_group_reflection(pool, [trivial_group(), cyclic_group(2)]).passed
-        assert verify.check_word_differential(1, 2, random_words=10).passed
+        assert verify.run_suite("unit-iso", max_vertices=0).passed
+        assert verify.run_suite("fullness", max_vertices=0).passed
+        assert verify.run_suite("ac-bijection", max_vertices=0, groups=[trivial_group()]).passed
+        assert verify.run_suite("dvi", max_set=0, max_vertices=0).passed
+        assert verify.run_suite("couniversal", pool=pool, max_vertices=1).passed
+        codomains = [trivial_group(), cyclic_group(2)]
+        assert verify.run_suite("group-reflection", pool=pool, codomains=codomains).passed
+        assert verify.run_suite("word-differential", max_vertices=1, max_len=2, random_words=10).passed
         return True
 
     passed, elapsed = _timed(run)

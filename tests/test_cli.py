@@ -148,6 +148,28 @@ def test_deeply_nested_json_exits_2(tmp_path, capsys):
     assert err.startswith("error: MalformedInput") and err.count("\n") == 1
 
 
+def test_non_utf8_json_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'\xff\xfe{"vertices":[]}')
+    code, out, err = run(capsys, "gamma", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: MalformedInput") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["gamma", "raag-reduce", "check"])
+def test_closure_cap_is_refused_where_no_group_is_read(write, capsys, command):
+    target = "unit-iso" if command == "check" else write("edge.json", EDGE)
+    code, out, err = run(capsys, command, "--closure-cap", "3", target)
+    assert code == 3 and out == ""
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+
+
+def test_closure_cap_reaches_the_group_reader(write, capsys):
+    code, out, err = run(capsys, "commutation-graph", "--closure-cap", "3", write("s3.json", S3))
+    assert code == 2 and out == ""
+    assert "OrderCapExceeded" in err
+
+
 def test_homs_graph_to_graph(write, capsys):
     other = {"vertices": ["c", "d"], "edges": [["c", "d"]]}
     code, out, _ = run(capsys, "homs", write("edge.json", EDGE), write("other.json", other))
@@ -285,3 +307,6 @@ def test_check_word_differential_cli_small(capsys):
     assert code == 0
     report = json.loads(out)[0]
     assert report["passed"]
+    # at the default length of 6 the suite would check 21,050 cases
+    assert report["cases_checked"] == 186 + 10000
+    assert "length <= 3" in report["scope"]

@@ -15,7 +15,6 @@ from commagraph import (
     enumerate_morphisms_from_embedded_graph,
     factor_through_coreflection,
     identity_comma,
-    is_canonical_raag_quotient,
     is_comma_morphism,
     klein_four_group,
     make_comma_object,
@@ -26,12 +25,7 @@ from commagraph import (
     reflect_to_group,
     symmetric_group_3,
 )
-from commagraph.comma import (
-    comma_morphism_from_json,
-    comma_morphism_to_json,
-    comma_object_from_json,
-    comma_object_to_json,
-)
+from commagraph.comma import comma_object_from_json, comma_object_to_json
 from commagraph.errors import (
     MalformedInput,
     MissingImage,
@@ -291,10 +285,10 @@ def test_counit_is_valid_on_pool():
 def test_counit_is_valid_on_random_order_8_targets():
     import random
 
-    from commagraph import dihedral_group_4
+    from commagraph import finite_group_from_permutations
 
     rng = random.Random(1)
-    d4 = dihedral_group_4()
+    d4 = finite_group_from_permutations(4, [(2, 3, 4, 1), (2, 1, 4, 3)])
     for _ in range(25):
         gens = make_set(["x", "y", "z"][: rng.randint(0, 3)])
         w = make_comma_object(gens, d4, {x: rng.choice(d4.elements.labels) for x in gens})
@@ -391,33 +385,6 @@ def test_endomorphism_count_c2():
 
 
 # ---------------------------------------------------------------------------
-# the syntactic recognizer
-
-def test_recognizer_accepts_embedded_graphs():
-    for g in graphs_up_to(3):
-        assert is_canonical_raag_quotient(embed_graph(g))
-
-
-def test_recognizer_rejects_finite_target():
-    w = make_comma_object(make_set(["x"]), cyclic_group(2), {"x": "g"})
-    assert not is_canonical_raag_quotient(w)
-
-
-def test_recognizer_rejects_swapped_images():
-    raag = raag_of(discrete(make_set(["x", "y"])))
-    w = make_comma_object(
-        make_set(["x", "y"]), raag, {"x": (("y", 1),), "y": (("x", 1),)}
-    )
-    assert not is_canonical_raag_quotient(w)
-
-
-def test_recognizer_rejects_mismatched_generator_set():
-    raag = raag_of(discrete(make_set(["x", "y"])))
-    w = make_comma_object(make_set(["x"]), raag, {"x": (("x", 1),)})
-    assert not is_canonical_raag_quotient(w)
-
-
-# ---------------------------------------------------------------------------
 # JSON forms
 
 def test_comma_object_json_round_trip():
@@ -435,22 +402,6 @@ def test_comma_object_json_perm_target():
     }
     w = comma_object_from_json(data)
     assert w.target == symmetric_group_3()
-
-
-def test_comma_morphism_json_round_trip():
-    core = coreflect(s3_witness())
-    data = comma_morphism_to_json(core.counit)
-    again = comma_morphism_from_json(data)
-    assert again == core.counit
-    assert comma_morphism_to_json(again) == data
-
-
-def test_comma_morphism_json_rejects_broken_square():
-    core = coreflect(s3_witness())
-    data = comma_morphism_to_json(core.counit)
-    data["f_set"] = {"x": "y", "y": "x"}
-    with pytest.raises(MalformedInput):
-        comma_morphism_from_json(data)
 
 
 @given(graphs(max_vertices=3))

@@ -11,7 +11,6 @@ from commagraph import (
     commutation_counit,
     commutation_graph,
     cyclic_group,
-    dihedral_group_4,
     discrete,
     enumerate_homs_finite_to_finite,
     enumerate_homs_raag_to_finite,
@@ -19,7 +18,6 @@ from commagraph import (
     finite_group_from_permutations,
     finite_group_from_table,
     free_group_on,
-    free_reduce,
     hom_check,
     indiscrete,
     klein_four_group,
@@ -56,7 +54,6 @@ from commagraph.groups import (
     group_from_json,
     group_to_json,
     identity_group_hom,
-    make_group_hom,
     word_from_tokens,
     word_inverse,
 )
@@ -77,20 +74,37 @@ def discrete_raag(n=2):
     return raag_of(discrete(make_set(["a", "b", "c", "d"][:n])))
 
 
+def _dihedral_group_4():
+    """Symmetries of the square, order 8."""
+    return finite_group_from_permutations(4, [(2, 3, 4, 1), (2, 1, 4, 3)])
+
+
 # ---------------------------------------------------------------------------
 # free reduction
 
+def _free_reduce(w):
+    """Cancel adjacent inverse pairs until none remain: the free group's
+    normal form, as a reference for the engine."""
+    out = []
+    for gen, sign in w:
+        if out and out[-1] == (gen, -sign):
+            out.pop()
+        else:
+            out.append((gen, sign))
+    return tuple(out)
+
+
 def test_free_reduce_examples():
-    assert free_reduce([]) == ()
-    assert free_reduce([A, iA]) == ()
-    assert free_reduce([A, B, iB, iA, A]) == (A,)
+    assert _free_reduce([]) == ()
+    assert _free_reduce([A, iA]) == ()
+    assert _free_reduce([A, B, iB, iA, A]) == (A,)
 
 
 @given(graph_with_word(max_len=12))
 def test_free_reduce_idempotent_and_shorter(gw):
     _, w = gw
-    reduced = free_reduce(w)
-    assert free_reduce(reduced) == reduced
+    reduced = _free_reduce(w)
+    assert _free_reduce(reduced) == reduced
     assert len(reduced) <= len(w)
 
 
@@ -98,7 +112,7 @@ def test_free_reduce_idempotent_and_shorter(gw):
 def test_free_reduce_preserves_element(gw):
     g, w = gw
     free = free_group_on(g.vertices)
-    assert raag_equal(free, w, free_reduce(w))
+    assert raag_equal(free, w, _free_reduce(w))
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +126,7 @@ def test_commutator_dies_on_edge():
 def test_commutator_survives_on_discrete():
     reduced = raag_reduce(discrete_raag(), COMMUTATOR)
     assert reduced == COMMUTATOR
-    assert free_reduce(COMMUTATOR) == COMMUTATOR
+    assert _free_reduce(COMMUTATOR) == COMMUTATOR
     assert not raag_is_identity(discrete_raag(), COMMUTATOR)
 
 
@@ -174,7 +188,7 @@ def test_reduce_output_is_cancellation_free_and_equal(gw):
     assert raag_equal(raag, w, reduced)
     assert raag_reduce(raag, reduced) == reduced
     # no free cancellation can hide in a reduced word
-    assert free_reduce(reduced) == reduced
+    assert _free_reduce(reduced) == reduced
 
 
 @given(graph_with_words(2, max_vertices=4, max_len=6))
@@ -188,7 +202,7 @@ def test_reduced_form_is_a_complete_invariant(gws):
 def test_discrete_graphs_reduce_like_free_groups(gw):
     g, w = gw
     free = raag_of(discrete(g.vertices))
-    assert raag_is_identity(free, w) == (free_reduce(w) == ())
+    assert raag_is_identity(free, w) == (_free_reduce(w) == ())
 
 
 @given(graph_with_words(2, max_vertices=4, max_len=8))
@@ -446,7 +460,7 @@ def test_permutation_closure_cap():
 
 
 def test_dihedral_order_8():
-    assert len(dihedral_group_4().elements) == 8
+    assert len(_dihedral_group_4().elements) == 8
 
 
 def _brute_force_verdict(labels, table):
@@ -493,7 +507,7 @@ def test_light_test_matches_brute_force_on_all_small_magmas():
 
 def test_light_test_matches_brute_force_on_perturbed_groups():
     # every group table with one entry changed: mostly near-associative magmas
-    for h in (symmetric_group_3(), dihedral_group_4(), klein_four_group()):
+    for h in (symmetric_group_3(), _dihedral_group_4(), klein_four_group()):
         labels = h.elements.labels
         for a, b in product(labels, repeat=2):
             for c in labels:
@@ -564,7 +578,7 @@ def test_commutation_graph_s3():
 
 
 def test_commutation_graph_identity_degree():
-    for h in (cyclic_group(3), klein_four_group(), symmetric_group_3(), dihedral_group_4()):
+    for h in (cyclic_group(3), klein_four_group(), symmetric_group_3(), _dihedral_group_4()):
         g = commutation_graph(h)
         degree = sum(1 for e in g.edges if h.identity in e)
         assert degree == len(h.elements) - 1
@@ -616,7 +630,7 @@ def test_free_group_equality_matches_free_reduce():
     letters = [("a", 1), ("a", -1), ("b", 1), ("b", -1)]
     for _ in range(1000):
         w = tuple(rng.choice(letters) for _ in range(rng.randint(0, 8)))
-        assert raag_is_identity(free, w) == (free_reduce(w) == ())
+        assert raag_is_identity(free, w) == (_free_reduce(w) == ())
 
 
 def test_infinite_cyclic():
@@ -703,17 +717,9 @@ def test_hom_check_free_domain_accepts_anything():
         assert hom_check(GroupHom(free, s3, generator_images={"a": x, "b": y}))
 
 
-def test_make_group_hom_validates():
-    s3 = symmetric_group_3()
-    with pytest.raises(InvalidHom):
-        make_group_hom(edge_raag(), s3, generator_images={"a": "213", "b": "231"})
-    with pytest.raises(UnknownElement):
-        make_group_hom(edge_raag(), s3, generator_images={"a": "zzz", "b": "123"})
-
-
 def test_apply_hom_finite_domain():
     c2, c4 = cyclic_group(2), cyclic_group(4)
-    f = make_group_hom(c2, c4, table={"e": "e", "g": "g2"})
+    f = GroupHom(c2, c4, table={"e": "e", "g": "g2"})
     assert apply_hom(f, "g") == "g2"
     assert hom_check(f)
 
@@ -736,7 +742,7 @@ def test_enumerated_homs_are_homs():
 def test_enumerate_homs_matches_product_order():
     # every assignment in lexicographic storage order, kept when adjacent
     # images commute
-    for h, max_vertices in ((symmetric_group_3(), 4), (dihedral_group_4(), 3)):
+    for h, max_vertices in ((symmetric_group_3(), 4), (_dihedral_group_4(), 3)):
         for g in graphs_up_to(max_vertices):
             gens = g.vertices.labels
             expected = [
@@ -763,7 +769,7 @@ def test_enumerate_finite_to_finite_counts():
 def test_hom_set_bijection_up_to_order_8():
     from commagraph import enumerate_graph_homs
 
-    d4 = dihedral_group_4()
+    d4 = _dihedral_group_4()
     c_d4 = commutation_graph(d4)
     for g in graphs_up_to(3):
         graph_side = {

@@ -14,15 +14,15 @@ def test_graphs_on_counts():
 
 
 def test_unit_iso_passes_and_counts():
-    report = verify.check_unit_iso(3)
+    report = verify.run_suite("unit-iso", max_vertices=3)
     assert report.passed and report.counterexample is None
     assert report.cases_checked == 12  # empty graph + 1 + 2 + 8
-    assert verify.check_unit_iso(1).passed
+    assert verify.run_suite("unit-iso", max_vertices=1).passed
 
 
 def test_unit_iso_rejects_oversized_bound():
     with pytest.raises(ValueError):
-        verify.check_unit_iso(6)
+        verify.run_suite("unit-iso", max_vertices=6)
 
 
 def test_unit_iso_mutation_is_caught(monkeypatch):
@@ -37,7 +37,7 @@ def test_unit_iso_mutation_is_caught(monkeypatch):
         return core
 
     monkeypatch.setattr(comma, "coreflect", corrupted)
-    report = verify.check_unit_iso(2)
+    report = verify.run_suite("unit-iso", max_vertices=2)
     assert not report.passed
     assert report.counterexample is not None
     witness = graph_from_json(report.counterexample["graph"])
@@ -53,14 +53,14 @@ def test_failed_report_carries_counterexample_json(monkeypatch):
         "coreflect",
         lambda w: comma.Coreflection(Graph(w.gens, ()), comma.identity_comma(w)),
     )
-    report = verify.check_unit_iso(2)
+    report = verify.run_suite("unit-iso", max_vertices=2)
     assert not report.passed
     data = report.to_json()
     assert data["counterexample"]["graph"] == {"vertices": ["a", "b"], "edges": [["a", "b"]]}
 
 
 def test_fullness_passes():
-    report = verify.check_fullness(3)
+    report = verify.run_suite("fullness", max_vertices=3)
     assert report.passed
     # edge against edge alone contributes 4 commuting squares
     assert report.cases_checked >= 4
@@ -77,19 +77,19 @@ def test_fullness_edge_pair_counts():
 
 
 def test_ac_bijection_passes():
-    report = verify.check_ac_bijection(3)
+    report = verify.run_suite("ac-bijection", max_vertices=3)
     assert report.passed
     assert report.cases_checked == 12 * 5
 
 
 def test_dvi_passes():
-    report = verify.check_dvi(3, 3)
+    report = verify.run_suite("dvi", max_set=3, max_vertices=3)
     assert report.passed
     assert report.cases_checked == 4 * 12
 
 
 def test_couniversal_passes():
-    report = verify.check_couniversal(max_vertices=2)
+    report = verify.run_suite("couniversal", max_vertices=2)
     assert report.passed and report.cases_checked > 0
 
 
@@ -97,32 +97,32 @@ def test_couniversal_abelian_pool_object_alone():
     from commagraph import cyclic_group, make_comma_object
 
     pool = [make_comma_object(make_set(["x", "y"]), cyclic_group(4), {"x": "g", "y": "g2"})]
-    report = verify.check_couniversal(pool, 2)
+    report = verify.run_suite("couniversal", pool=pool, max_vertices=2)
     assert report.passed
 
 
 def test_couniversal_is_fast_at_four_vertices():
     # about 1 s on a 2-core Xeon VM; 5 s leaves room for slower machines
     start = time.perf_counter()
-    report = verify.check_couniversal(max_vertices=4)
+    report = verify.run_suite("couniversal", max_vertices=4)
     assert time.perf_counter() - start < 5.0
     assert report.passed and report.cases_checked == 10778
 
 
 def test_group_reflection_passes():
-    report = verify.check_group_reflection()
+    report = verify.run_suite("group-reflection")
     assert report.passed and report.cases_checked > 0
 
 
 def test_word_differential_tiny_bounds():
-    report = verify.check_word_differential(2, 4, random_words=100)
+    report = verify.run_suite("word-differential", max_vertices=2, max_len=4, random_words=100)
     assert report.passed
     assert report.cases_checked > 100
 
 
 def test_word_differential_single_generator():
     # one generator: the group is infinite cyclic, identity iff exponent sum 0
-    report = verify.check_word_differential(1, 8, random_words=0)
+    report = verify.run_suite("word-differential", max_vertices=1, max_len=8, random_words=0)
     assert report.passed
 
 
@@ -137,7 +137,7 @@ def test_word_differential_mutation_is_caught(monkeypatch):
         return real(self, enc)
 
     monkeypatch.setattr(_RaagEngine, "is_identity", lying)
-    report = verify.check_word_differential(1, 2, random_words=0)
+    report = verify.run_suite("word-differential", max_vertices=1, max_len=2, random_words=0)
     assert not report.passed
     ce = report.counterexample
     monkeypatch.undo()
@@ -150,14 +150,13 @@ def test_word_differential_mutation_is_caught(monkeypatch):
 
 
 def test_reports_are_deterministic():
-    for run in (verify.check_unit_iso, lambda: verify.check_dvi(2, 2)):
-        first = run() if not callable(run) else run()
-        second = run() if not callable(run) else run()
-        assert first == second
-    assert verify.check_couniversal(max_vertices=1) == verify.check_couniversal(max_vertices=1)
-    assert verify.check_word_differential(2, 3, random_words=50) == verify.check_word_differential(
-        2, 3, random_words=50
-    )
+    for name, bounds in (
+        ("unit-iso", {}),
+        ("dvi", {"max_set": 2, "max_vertices": 2}),
+        ("couniversal", {"max_vertices": 1}),
+        ("word-differential", {"max_vertices": 2, "max_len": 3, "random_words": 50}),
+    ):
+        assert verify.run_suite(name, **bounds) == verify.run_suite(name, **bounds)
 
 
 def test_default_pool_is_seed_deterministic():
@@ -177,7 +176,7 @@ def test_run_suite_dispatch():
 
 
 def test_report_json_shape():
-    data = verify.check_dvi(1, 1).to_json()
+    data = verify.run_suite("dvi", max_set=1, max_vertices=1).to_json()
     assert set(data) == {"name", "scope", "passed", "cases_checked", "counterexample"}
     assert data["passed"] is True and data["counterexample"] is None
 
@@ -192,7 +191,7 @@ def test_fullness_square_mutation_is_caught(monkeypatch):
         return real(m) and len(set(m.f_set.mapping.values())) == len(m.f_set.mapping)
 
     monkeypatch.setattr(comma, "is_comma_morphism", injective_only)
-    report = verify.check_fullness(3)
+    report = verify.run_suite("fullness", max_vertices=3)
     assert not report.passed
     assert report.cases_checked == 42
     assert sorted(report.counterexample) == ["cod", "dom", "map", "reason"]
@@ -209,7 +208,7 @@ def test_fullness_hom_set_mutation_is_caught(monkeypatch):
         return homs[:-1] if g1.edges and g1 == g2 else homs
 
     monkeypatch.setattr(verify, "enumerate_graph_homs", one_short)
-    report = verify.check_fullness(3)
+    report = verify.run_suite("fullness", max_vertices=3)
     assert not report.passed
     assert report.cases_checked == 129
     assert sorted(report.counterexample) == ["cod", "dom", "graph_homs", "map", "squares"]
@@ -224,7 +223,7 @@ def test_ac_bijection_mutation_is_caught(monkeypatch):
         return homs[1:] if len(raag.presentation.vertices) == 2 and len(h.elements) == 4 else homs
 
     monkeypatch.setattr(verify, "enumerate_homs_raag_to_finite", one_short)
-    report = verify.check_ac_bijection(3)
+    report = verify.run_suite("ac-bijection", max_vertices=3)
     assert not report.passed
     assert report.cases_checked == 13
     assert sorted(report.counterexample) == ["graph", "graph_homs", "group", "group_homs"]
@@ -233,7 +232,7 @@ def test_ac_bijection_mutation_is_caught(monkeypatch):
 
 def test_dvi_mutation_is_caught(monkeypatch):
     monkeypatch.setattr(verify, "indiscrete", verify.discrete)
-    report = verify.check_dvi(3, 3)
+    report = verify.run_suite("dvi", max_set=3, max_vertices=3)
     assert not report.passed
     assert report.cases_checked == 28
     assert sorted(report.counterexample) == ["expected", "graph", "hom_count", "set", "side"]
@@ -251,7 +250,7 @@ def test_couniversal_mutation_is_caught(monkeypatch):
         return real(g, m)
 
     monkeypatch.setattr(comma, "factor_through_coreflection", refuses_edges)
-    report = verify.check_couniversal(max_vertices=3)
+    report = verify.run_suite("couniversal", max_vertices=3)
     assert not report.passed
     assert report.cases_checked == 5
     assert sorted(report.counterexample) == ["factorizations", "graph", "morphism_f_set", "object"]
@@ -273,7 +272,7 @@ def test_group_reflection_unit_mutation_is_caught(monkeypatch):
         return comma.GroupReflection(reflection.group, unit)
 
     monkeypatch.setattr(comma, "reflect_to_group", collapsed_unit)
-    report = verify.check_group_reflection()
+    report = verify.run_suite("group-reflection")
     assert not report.passed
     assert report.cases_checked == 20
     assert report.counterexample["reason"] == "unit is not a comma morphism"
@@ -285,8 +284,8 @@ def test_group_reflection_unit_mutation_is_caught(monkeypatch):
 
 def test_bounds_in_use_are_legal():
     # scripts/run_checks.py sweeps word length to 7 over graphs on <= 3 vertices
-    verify.validate("word-differential", max_vertices=3, max_word_len=7)
-    verify.validate("word-differential", max_vertices=1, max_word_len=8)
+    verify.validate("word-differential", max_vertices=3, max_len=7)
+    verify.validate("word-differential", max_vertices=1, max_len=8)
     verify.validate("unit-iso", max_vertices=5)
     verify.validate("ac-bijection", max_vertices=4)
     verify.validate("dvi", max_vertices=4)
@@ -297,12 +296,15 @@ def test_out_of_range_bounds_raise_usage_errors():
     from commagraph.errors import UsageError
 
     with pytest.raises(UsageError):
-        verify.check_dvi(max_vertices=-1)
+        verify.run_suite("dvi", max_vertices=-1)
     with pytest.raises(UsageError):
-        verify.check_word_differential(max_len=8)  # 16,299,586 words over 0..3 vertices
+        verify.run_suite("word-differential", max_len=8)  # 16,299,586 words over 0..3 vertices
     with pytest.raises(UsageError):
         verify.validate("word-differential", max_vertices=5)
     with pytest.raises(UsageError):
-        verify.check_word_differential(random_max_vertices=6)
+        verify.run_suite("word-differential", random_max_vertices=6)
     with pytest.raises(KeyError):
         verify.validate("bogus")
+    # a misspelt name is refused, not ignored in favour of the default
+    with pytest.raises(UsageError):
+        verify.run_suite("word-differential", max_word_len=4)
