@@ -8,10 +8,11 @@ are put into a canonical form, the lexicographically least word obtainable
 by swapping adjacent commuting letters, in O(n*k + n log n); two words
 denote the same element iff they reduce to the same canonical form.
 
-Finite groups carry a full Cayley table, validated on an integer-indexed
-copy: associativity by Light's test against a greedy generating set S, in
+Finite groups keep their Cayley table as rows of element indices; labels
+appear only where elements go in or out.  One validator checks every
+table: associativity by Light's test against a greedy generating set S, in
 O(n^2 * |S|) with |S| <= log2(n) + 1 for a group of order n, then identity
-and inverses in O(n^2).  A permutation closure derives its table from the
+and inverses in O(n^2).  A permutation closure derives its rows from the
 closure's own edges, a * x = (a * parent(x)) * g, by n^2 integer lookups.
 The two directions between graphs and groups live here as well: a graph
 yields the RAAG presented by it, and a finite group yields its commutation
@@ -46,7 +47,7 @@ from .sets import FiniteSet, finite_set_from_json, make_set
 Word = tuple[tuple[str, int], ...]
 
 ORACLE_DEFAULT_BOUND = 12
-CLOSURE_DEFAULT_CAP = 10000
+CLOSURE_DEFAULT_CAP = 1000  # elements; the table then has at most 10^6 entries
 ENGINE_CACHE_SIZE = 128  # above the 76 graphs on <= 4 vertices of word-differential
 
 
@@ -319,8 +320,13 @@ def raag_commute(raag: Raag, u: Iterable, v: Iterable) -> bool:
 
 @dataclass(frozen=True, eq=True)
 class FiniteGroup:
+    """A validated finite group.  rows[i][j] is the index of the product of
+    the i-th and j-th elements, in storage order; index maps each label to
+    its position.  Elements are labels at the interface."""
+
     elements: FiniteSet
-    table: dict[tuple[str, str], str]
+    rows: list[list[int]]
+    index: dict[str, int]
     identity: str
     inverse: dict[str, str]
 
@@ -330,7 +336,7 @@ class FiniteGroup:
         return self.identity
 
     def multiply(self, a: str, b: str) -> str:
-        return self.table[(a, b)]
+        return self.elements.labels[self.rows[self.index[a]][self.index[b]]]
 
     def invert(self, a: str) -> str:
         return self.inverse[a]
@@ -339,7 +345,8 @@ class FiniteGroup:
         return a == b
 
     def commutes(self, a: str, b: str) -> bool:
-        return self.table[(a, b)] == self.table[(b, a)]
+        i, j = self.index[a], self.index[b]
+        return self.rows[i][j] == self.rows[j][i]
 
     def validate_element(self, value) -> str:
         if not isinstance(value, str) or value not in self.elements:
@@ -371,8 +378,13 @@ def finite_group_from_table(
     in O(n^2).
     """
     elements = elements if isinstance(elements, FiniteSet) else make_set(elements)
+    return _group_from_rows(elements, _index_table(elements.labels, table), identity)
+
+
+def _group_from_rows(elements: FiniteSet, rows: list[list[int]], identity: str | None) -> FiniteGroup:
+    """Validate a table of element indices and wrap it: associativity, then
+    a two-sided identity (the given one, or the first found), then inverses."""
     labels = elements.labels
-    rows = _index_table(labels, table)
     _check_associative(labels, rows)
     e = _identity_index(labels, rows, identity)
     inverse: dict[str, str] = {}
@@ -381,8 +393,7 @@ def finite_group_from_table(
         if e not in row:
             raise NoInverse(f"{a!r} has no two-sided inverse")
         inverse[a] = labels[row.index(e)]
-    flat = {(a, b): labels[c] for a, row in zip(labels, rows) for b, c in zip(labels, row)}
-    return FiniteGroup(elements, flat, labels[e], inverse)
+    return FiniteGroup(elements, rows, {a: i for i, a in enumerate(labels)}, labels[e], inverse)
 
 
 _NO_ENTRY = object()
@@ -531,15 +542,14 @@ def finite_group_from_permutations(
             row.append(y)
         right.append(row)
 
-    labels = make_set(_permutation_label(p) for p in found)
-    names = labels.labels
-    table = []
+    rows = []
     for a in range(len(found)):
         row = [a]
         for px, j in steps:
             row.append(right[row[px]][j])
-        table.append([names[c] for c in row])
-    return finite_group_from_table(labels, table, names[0])
+        rows.append(row)
+    elements = make_set(_permutation_label(p) for p in found)
+    return _group_from_rows(elements, rows, elements.labels[0])
 
 
 def trivial_group() -> FiniteGroup:
@@ -551,19 +561,14 @@ def cyclic_group(n: int) -> FiniteGroup:
     if n < 1:
         raise MalformedInput("a cyclic group needs order at least 1")
     labels = ["e"] + ["g" if k == 1 else f"g{k}" for k in range(1, n)]
-    table = {
-        (labels[i], labels[j]): labels[(i + j) % n] for i in range(n) for j in range(n)
-    }
-    return finite_group_from_table(make_set(labels), table, "e")
+    rows = [[(i + j) % n for j in range(n)] for i in range(n)]
+    return _group_from_rows(make_set(labels), rows, "e")
 
 
 def klein_four_group() -> FiniteGroup:
     """The direct product of two copies of the order-2 cyclic group."""
-    labels = ["e", "a", "b", "ab"]
-    table = {
-        (labels[i], labels[j]): labels[i ^ j] for i in range(4) for j in range(4)
-    }
-    return finite_group_from_table(make_set(labels), table, "e")
+    rows = [[i ^ j for j in range(4)] for i in range(4)]
+    return _group_from_rows(make_set(["e", "a", "b", "ab"]), rows, "e")
 
 
 def symmetric_group_3() -> FiniteGroup:
@@ -573,12 +578,11 @@ def symmetric_group_3() -> FiniteGroup:
 def _commuting(h: FiniteGroup) -> list[list[int]]:
     """For each element index, the ascending indices of the elements that
     commute with it, itself included."""
-    labels, table = h.elements.labels, h.table
-    out: list[list[int]] = [[] for _ in labels]
-    for i, a in enumerate(labels):
-        for j in range(i, len(labels)):
-            b = labels[j]
-            if table[(a, b)] == table[(b, a)]:
+    rows = h.rows
+    out: list[list[int]] = [[] for _ in rows]
+    for i, row in enumerate(rows):
+        for j in range(i, len(rows)):
+            if row[j] == rows[j][i]:
                 out[i].append(j)
                 if j != i:
                     out[j].append(i)
@@ -752,46 +756,37 @@ def enumerate_homs_raag_to_finite(raag: Raag, h: FiniteGroup) -> list[GroupHom]:
     return out
 
 
-def _generators_and_expressions(h: FiniteGroup) -> tuple[list[str], dict[str, tuple[str, ...]]]:
-    """A generating sequence plus, for every element, some product of those
-    generators reaching it (greedy, deterministic)."""
-    gens: list[str] = []
-    exprs: dict[str, tuple[str, ...]] = {h.identity: ()}
-    for label in h.elements:
-        if label in exprs:
-            continue
-        gens.append(label)
-        exprs = {h.identity: ()}
-        queue = deque((h.identity,))
-        while queue:
-            x = queue.popleft()
-            for g in gens:
-                y = h.multiply(x, g)
-                if y not in exprs:
-                    exprs[y] = exprs[x] + (g,)
-                    queue.append(y)
-    return gens, exprs
-
-
 def enumerate_homs_finite_to_finite(dom: FiniteGroup, cod: FiniteGroup) -> list[GroupHom]:
-    """All homomorphisms between two finite groups, by trying every image of
-    a generating set and validating the induced table."""
-    gens, exprs = _generators_and_expressions(dom)
+    """All homomorphisms between two finite groups, one per assignment of
+    images to a greedy generating set S of the domain, in lexicographic
+    storage order.  An assignment extends along a breadth-first walk of the
+    domain from the identity by right multiplication with S; every step
+    x -> x*g that meets an element already reached must agree, f(x*g) =
+    f(x)*f(g), and agreement on all of them makes f a homomorphism.
+    O(|cod|^|S| * |dom| * |S|)."""
+    rows, cod_rows = dom.rows, cod.rows
+    e, cod_e = dom.index[dom.identity], cod.index[cod.identity]
+    gens = [g for g in _magma_generators(rows) if g != e]
+    labels, cod_labels = dom.elements.labels, cod.elements.labels
     out: list[GroupHom] = []
-    for images in product(cod.elements.labels, repeat=len(gens)):
-        lookup = dict(zip(gens, images))
-        table: dict[str, str] = {}
-        for x in dom.elements:
-            acc = cod.identity
-            for g in exprs[x]:
-                acc = cod.multiply(acc, lookup[g])
-            table[x] = acc
-        if all(
-            table[dom.multiply(a, b)] == cod.multiply(table[a], table[b])
-            for a in dom.elements
-            for b in dom.elements
-        ):
-            out.append(GroupHom(dom, cod, table=table))
+    for images in product(range(len(cod_rows)), repeat=len(gens)):
+        image = [-1] * len(rows)
+        image[e] = cod_e
+        reached = [e]
+        for x in reached:  # grows in breadth-first order
+            row, cod_row = rows[x], cod_rows[image[x]]
+            for g, c in zip(gens, images):
+                y, z = row[g], cod_row[c]
+                if image[y] < 0:
+                    image[y] = z
+                    reached.append(y)
+                elif image[y] != z:
+                    break
+            else:
+                continue
+            break
+        else:
+            out.append(GroupHom(dom, cod, table={a: cod_labels[c] for a, c in zip(labels, image)}))
     return out
 
 
@@ -812,7 +807,7 @@ def group_to_json(h: GroupHandle) -> dict:
     return {
         "type": "cayley",
         "elements": list(labels),
-        "table": [[h.table[(a, b)] for b in labels] for a in labels],
+        "table": [[labels[c] for c in row] for row in h.rows],
     }
 
 

@@ -358,8 +358,9 @@ def _suite(name: str) -> Suite:
     return SUITES[name]
 
 
-def _bounds(name: str, given: dict) -> dict:
-    """The suite's bounds with defaults filled in, each checked against its range."""
+def validate(name: str, **given) -> dict:
+    """The suite's bounds with defaults filled in, each checked against its
+    range: raises what run_suite would raise for them, without running it."""
     suite = _suite(name)
     unknown = sorted(set(given) - _ARGUMENT_NAMES)
     if unknown:
@@ -379,17 +380,12 @@ def _bounds(name: str, given: dict) -> dict:
     return bounds
 
 
-def validate(name: str, **given) -> None:
-    """Raise what run_suite would raise for this name and these bounds, without running it."""
-    _bounds(name, given)
-
-
 def run_suite(name: str, seed: int = 0, **given) -> CheckReport:
     """Run a suite: the one place that counts cases and stops at the first
     counterexample.  Bounds and fixtures go by their registry names, None
     meaning the default, and a name the suite does not take is ignored."""
     suite = _suite(name)
-    args = _bounds(name, given)
+    args = validate(name, **given)
     for key, build in suite.fixtures.items():
         args[key] = build(seed) if given.get(key) is None else given[key]
     cases = suite.cases(**args)

@@ -170,6 +170,13 @@ def test_closure_cap_reaches_the_group_reader(write, capsys):
     assert "OrderCapExceeded" in err
 
 
+def test_default_closure_cap_refuses_s7(write, capsys):
+    s7 = {"type": "perm", "degree": 7, "generators": [[2, 1, 3, 4, 5, 6, 7], [2, 3, 4, 5, 6, 7, 1]]}
+    code, out, err = run(capsys, "commutation-graph", write("s7.json", s7))
+    assert code == 2 and out == ""
+    assert err.startswith("error: OrderCapExceeded") and err.count("\n") == 1
+
+
 def test_homs_graph_to_graph(write, capsys):
     other = {"vertices": ["c", "d"], "edges": [["c", "d"]]}
     code, out, _ = run(capsys, "homs", write("edge.json", EDGE), write("other.json", other))

@@ -1,6 +1,7 @@
 import random
 import re
 import time
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -417,8 +418,9 @@ def test_from_table_rejects_missing_inverse():
 
 def test_from_table_rejects_wrong_identity():
     c2 = cyclic_group(2)
+    table = {(a, b): c2.multiply(a, b) for a, b in product(c2.elements, repeat=2)}
     with pytest.raises(NoIdentity):
-        finite_group_from_table(c2.elements, c2.table, identity="g")
+        finite_group_from_table(c2.elements, table, identity="g")
 
 
 def test_from_table_accepts_rows():
@@ -457,6 +459,14 @@ def test_permutation_closure_rejects_non_permutation():
 def test_permutation_closure_cap():
     with pytest.raises(OrderCapExceeded):
         finite_group_from_permutations(3, [(2, 1, 3), (2, 3, 1)], cap=3)
+
+
+def test_default_closure_cap_admits_s6_and_refuses_s7():
+    # 1,000 elements: at most 10^6 table entries; S7 (5,040) is refused
+    # during the closure, before any table exists
+    assert len(finite_group_from_permutations(6, [(2, 1, 3, 4, 5, 6), (2, 3, 4, 5, 6, 1)]).elements) == 720
+    with pytest.raises(OrderCapExceeded):
+        finite_group_from_permutations(7, [(2, 1, 3, 4, 5, 6, 7), (2, 3, 4, 5, 6, 7, 1)])
 
 
 def test_dihedral_order_8():
@@ -509,9 +519,10 @@ def test_light_test_matches_brute_force_on_perturbed_groups():
     # every group table with one entry changed: mostly near-associative magmas
     for h in (symmetric_group_3(), _dihedral_group_4(), klein_four_group()):
         labels = h.elements.labels
+        group_table = {(a, b): h.multiply(a, b) for a, b in product(labels, repeat=2)}
         for a, b in product(labels, repeat=2):
             for c in labels:
-                table = dict(h.table)
+                table = dict(group_table)
                 table[(a, b)] = c
                 _assert_construction_matches_brute_force(labels, table)
 
@@ -554,6 +565,16 @@ def test_order_120_groups_are_fast():
     d60 = _dihedral(60)
     assert len(commutation_graph(d60).edges) == (120 * 33 - 120) // 2  # 33 classes
     assert time.perf_counter() - start < 5.0
+    # S6 on integer rows: about 5 MB at peak; a label-keyed table of its
+    # 518,400 products alone takes several times that
+    tracemalloc.start()
+    try:
+        s6 = finite_group_from_permutations(6, [(2, 1, 3, 4, 5, 6), (2, 3, 4, 5, 6, 1)])
+        assert len(commutation_graph(s6).edges) == (720 * 11 - 720) // 2  # 11 classes
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -753,6 +774,32 @@ def test_enumerate_homs_matches_product_order():
             found = enumerate_homs_raag_to_finite(raag_of(g), h)
             assert [f.generator_images for f in found] == expected
             assert all(list(f.generator_images) == list(gens) for f in found)
+
+
+def _cyclic_3_identity_last():
+    labels = ["g", "g2", "e"]  # g^k stored at (k - 1) % 3
+    return finite_group_from_table(
+        labels, [[labels[(i + j + 1) % 3] for j in range(3)] for i in range(3)], "e"
+    )
+
+
+def test_enumerate_finite_to_finite_matches_brute_force():
+    # every map dom -> cod in lexicographic storage order, kept when it
+    # respects every product
+    groups = (
+        trivial_group(), cyclic_group(2), cyclic_group(3), cyclic_group(4),
+        klein_four_group(), symmetric_group_3(), _cyclic_3_identity_last(),
+    )
+    for dom, cod in product(groups, repeat=2):
+        labels = dom.elements.labels
+        expected = []
+        for images in product(cod.elements.labels, repeat=len(labels)):
+            f = dict(zip(labels, images))
+            if all(f[dom.multiply(a, b)] == cod.multiply(f[a], f[b]) for a in labels for b in labels):
+                expected.append(f)
+        found = enumerate_homs_finite_to_finite(dom, cod)
+        assert [f.table for f in found] == expected
+        assert all(list(f.table) == list(labels) for f in found)
 
 
 def test_enumerate_finite_to_finite_counts():
