@@ -106,44 +106,60 @@ def compose_homs(f: GraphHom, g: GraphHom) -> GraphHom:
     return GraphHom(f.dom, g.cod, compose_maps(f.vmap, g.vmap))
 
 
-def enumerate_graph_homs(g: Graph, h: Graph) -> list[GraphHom]:
-    """All homomorphisms g -> h, by depth-first search over vertex images.
+def _graph_hom_images(g: Graph, h: Graph) -> list[tuple[int, ...]]:
+    """Every homomorphism g -> h as the tuple of h-indices of its vertex
+    images, by depth-first search in lexicographic storage order.
 
-    Vertices are assigned in storage order and candidate images are tried in
-    storage order, so the output order is lexicographic and reproducible.
+    Vertices of g are assigned in storage order, every vertex of h is tried
+    as the image in storage order, and an image is kept when it lies in the
+    neighbour set of each earlier neighbour's image.  The neighbour sets are
+    built once from h's edges, O(V + E), and each holds its own vertex, so a
+    collapsed edge passes; a test costs the same however many edges h has.
     """
-    dom_vs = g.vertices.labels
-    cod_vs = h.vertices.labels
-    # Edges from each vertex back to already-assigned vertices, for pruning.
-    earlier = {v: [] for v in dom_vs}
-    pos = {v: i for i, v in enumerate(dom_vs)}
+    pos = {v: i for i, v in enumerate(g.vertices.labels)}
+    earlier: list[list[int]] = [[] for _ in pos]
     for u, v in g.edges:
-        if pos[u] > pos[v]:
-            u, v = v, u
-        earlier[v].append(u)
+        i, j = sorted((pos[u], pos[v]))
+        earlier[j].append(i)
+    cod_pos = {v: i for i, v in enumerate(h.vertices.labels)}
+    neighbours = [{i} for i in range(len(cod_pos))]
+    for u, v in h.edges:
+        i, j = cod_pos[u], cod_pos[v]
+        neighbours[i].add(j)
+        neighbours[j].add(i)
+    images = range(len(cod_pos))
 
-    out: list[GraphHom] = []
-    assignment: dict[str, str] = {}
+    out: list[tuple[int, ...]] = []
+    chosen = [0] * len(pos)
 
     def extend(i: int) -> None:
-        if i == len(dom_vs):
-            out.append(GraphHom(g, h, SetMap(g.vertices, h.vertices, dict(assignment))))
+        if i == len(chosen):
+            out.append(tuple(chosen))
             return
-        v = dom_vs[i]
-        for image in cod_vs:
-            ok = True
-            for u in earlier[v]:
-                fu = assignment[u]
-                if fu != image and not h.has_edge(fu, image):
-                    ok = False
+        tests = [neighbours[chosen[u]] for u in earlier[i]]
+        for c in images:
+            for adjacent in tests:
+                if c not in adjacent:
                     break
-            if ok:
-                assignment[v] = image
+            else:
+                chosen[i] = c
                 extend(i + 1)
-                del assignment[v]
 
     extend(0)
     return out
+
+
+def enumerate_graph_homs(g: Graph, h: Graph) -> list[GraphHom]:
+    """All homomorphisms g -> h, in lexicographic storage order of their
+    vertex images: the homs of ``_graph_hom_images`` with labels attached.
+    Testing one candidate image costs one set lookup per earlier neighbour,
+    so its cost does not grow with the number of h's edges.
+    """
+    dom_vs, cod_vs = g.vertices.labels, h.vertices.labels
+    return [
+        GraphHom(g, h, SetMap(g.vertices, h.vertices, {v: cod_vs[c] for v, c in zip(dom_vs, images)}))
+        for images in _graph_hom_images(g, h)
+    ]
 
 
 def graph_to_json(g: Graph) -> dict:

@@ -714,30 +714,28 @@ def raag_on_hom(f: GraphHom) -> GroupHom:
     return GroupHom(Raag(f.dom), Raag(f.cod), generator_images=images)
 
 
-def enumerate_homs_raag_to_finite(raag: Raag, h: FiniteGroup) -> list[GroupHom]:
-    """All homomorphisms from a presented group to a finite group, as
-    generator assignments with adjacent images commuting, in storage order.
-    A generator's candidates are the elements commuting with the image of
-    its first earlier neighbour, kept if they commute with the other
-    earlier neighbours' images."""
+def _raag_hom_images(raag: Raag, h: FiniteGroup) -> list[tuple[int, ...]]:
+    """Every homomorphism from a presented group to a finite group as the
+    tuple of h-indices of its generator images, in lexicographic storage
+    order.  A generator's candidates are the elements commuting with the
+    image of its first earlier neighbour, read from h's multiplication rows,
+    kept if they commute with the other earlier neighbours' images."""
     gens = raag.generators.labels
     pos = {v: i for i, v in enumerate(gens)}
     earlier: list[list[int]] = [[] for _ in gens]
     for u, v in raag.presentation.edges:
         i, j = sorted((pos[u], pos[v]))
         earlier[j].append(i)
-    labels = h.elements.labels
     commuting = _commuting(h)
     commuting_sets = [set(row) for row in commuting]
-    everything = list(range(len(labels)))
+    everything = list(range(len(commuting)))
 
-    out: list[GroupHom] = []
+    out: list[tuple[int, ...]] = []
     chosen = [0] * len(gens)
 
     def extend(i: int) -> None:
         if i == len(gens):
-            images = {v: labels[c] for v, c in zip(gens, chosen)}
-            out.append(GroupHom(raag, h, generator_images=images))
+            out.append(tuple(chosen))
             return
         if not earlier[i]:
             candidates = everything
@@ -754,6 +752,17 @@ def enumerate_homs_raag_to_finite(raag: Raag, h: FiniteGroup) -> list[GroupHom]:
 
     extend(0)
     return out
+
+
+def enumerate_homs_raag_to_finite(raag: Raag, h: FiniteGroup) -> list[GroupHom]:
+    """All homomorphisms from a presented group to a finite group, as
+    generator assignments with adjacent images commuting, in storage order:
+    the homs of ``_raag_hom_images`` with labels attached."""
+    gens, labels = raag.generators.labels, h.elements.labels
+    return [
+        GroupHom(raag, h, generator_images={v: labels[c] for v, c in zip(gens, images)})
+        for images in _raag_hom_images(raag, h)
+    ]
 
 
 def enumerate_homs_finite_to_finite(dom: FiniteGroup, cod: FiniteGroup) -> list[GroupHom]:

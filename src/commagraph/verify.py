@@ -25,11 +25,13 @@ from typing import Callable, Iterator
 
 from . import comma
 from .errors import NotFactorable, UnknownSuite, UsageError
-from .graphs import Graph, discrete, enumerate_graph_homs, graph_to_json, indiscrete, make_graph
+from .graphs import (
+    Graph, _graph_hom_images, discrete, enumerate_graph_homs, graph_to_json, indiscrete, make_graph,
+)
 from .groups import (
-    ORACLE_DEFAULT_BOUND, FiniteGroup, _engine, commutation_graph, cyclic_group,
-    enumerate_homs_finite_to_finite, enumerate_homs_raag_to_finite, group_to_json,
-    klein_four_group, raag_of, symmetric_group_3, trivial_group, word_to_tokens,
+    ORACLE_DEFAULT_BOUND, FiniteGroup, _engine, _raag_hom_images, commutation_graph, cyclic_group,
+    enumerate_homs_finite_to_finite, group_to_json, klein_four_group, raag_of, symmetric_group_3,
+    trivial_group, word_to_tokens,
 )
 from .sets import SetMap, make_set
 
@@ -135,18 +137,24 @@ def _fullness(max_vertices: int) -> Cases:
 
 def _ac_bijection(max_vertices: int, groups: list[FiniteGroup]) -> Cases:
     """Graph homs into the commutation graph correspond one for one with
-    group homs out of the presented group."""
+    group homs out of the presented group.
+
+    Two distinct searches are compared as sets of index tuples: the graph
+    side tries every vertex of the commutation graph and tests adjacency
+    read from its edges, the group side draws candidates from the commuting
+    lists of the multiplication rows.  The tuples index the same list only
+    because the commutation graph's vertices are the group's elements, so
+    that is checked first, once per group.
+    """
     targets = [(h, commutation_graph(h)) for h in groups]
+    for h, h_graph in targets:
+        if h_graph.vertices != h.elements:
+            reason = "the commutation graph's vertices are not the group's elements"
+            return {"group": group_to_json(h), "commutation_graph": graph_to_json(h_graph), "reason": reason}
     for g in graphs_up_to(max_vertices):
         for h, h_graph in targets:
-            graph_side = {
-                tuple(sorted(f.vmap.mapping.items()))
-                for f in enumerate_graph_homs(g, h_graph)
-            }
-            group_side = {
-                tuple(sorted(f.generator_images.items()))
-                for f in enumerate_homs_raag_to_finite(raag_of(g), h)
-            }
+            graph_side = set(_graph_hom_images(g, h_graph))
+            group_side = set(_raag_hom_images(raag_of(g), h))
             yield None if graph_side == group_side else {
                 "graph": graph_to_json(g),
                 "group": group_to_json(h),

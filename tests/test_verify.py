@@ -3,8 +3,10 @@ import time
 import pytest
 
 from commagraph import comma, verify
-from commagraph.graphs import Graph, graph_from_json
-from commagraph.groups import FiniteGroup, raag_of, word_from_tokens
+from commagraph.graphs import Graph, enumerate_graph_homs, graph_from_json
+from commagraph.groups import (
+    FiniteGroup, commutation_graph, enumerate_homs_raag_to_finite, raag_of, word_from_tokens,
+)
 from commagraph.sets import SetMap, make_set
 
 
@@ -215,19 +217,67 @@ def test_fullness_hom_set_mutation_is_caught(monkeypatch):
     assert (report.counterexample["squares"], report.counterexample["graph_homs"]) == (4, 3)
 
 
+def test_ac_bijection_index_views_match_public_lists():
+    # ac-bijection compares the index views; homs prints the public lists
+    for h in verify.default_ac_groups():
+        h_graph = commutation_graph(h)
+        index = {x: i for i, x in enumerate(h.elements)}
+        for g in verify.graphs_up_to(4):
+            graph_homs = [
+                tuple(index[f(v)] for v in g.vertices) for f in enumerate_graph_homs(g, h_graph)
+            ]
+            group_homs = [
+                tuple(index[f.generator_images[v]] for v in g.vertices)
+                for f in enumerate_homs_raag_to_finite(raag_of(g), h)
+            ]
+            assert verify._graph_hom_images(g, h_graph) == graph_homs
+            assert verify._raag_hom_images(raag_of(g), h) == group_homs
+
+
 def test_ac_bijection_mutation_is_caught(monkeypatch):
-    real = verify.enumerate_homs_raag_to_finite
+    real = verify._raag_hom_images
 
     def one_short(raag, h):
         homs = real(raag, h)
         return homs[1:] if len(raag.presentation.vertices) == 2 and len(h.elements) == 4 else homs
 
-    monkeypatch.setattr(verify, "enumerate_homs_raag_to_finite", one_short)
+    monkeypatch.setattr(verify, "_raag_hom_images", one_short)
     report = verify.run_suite("ac-bijection", max_vertices=3)
     assert not report.passed
     assert report.cases_checked == 13
     assert sorted(report.counterexample) == ["graph", "graph_homs", "group", "group_homs"]
     assert (report.counterexample["graph_homs"], report.counterexample["group_homs"]) == (16, 15)
+
+
+def test_ac_bijection_graph_side_mutation_is_caught(monkeypatch):
+    real = verify._graph_hom_images
+
+    def one_short(g, h):
+        homs = real(g, h)
+        return homs[1:] if len(g.vertices) == 2 and len(h.vertices) == 4 else homs
+
+    monkeypatch.setattr(verify, "_graph_hom_images", one_short)
+    report = verify.run_suite("ac-bijection", max_vertices=3)
+    assert not report.passed
+    assert report.cases_checked == 13
+    assert sorted(report.counterexample) == ["graph", "graph_homs", "group", "group_homs"]
+    assert (report.counterexample["graph_homs"], report.counterexample["group_homs"]) == (15, 16)
+
+
+def test_ac_bijection_checks_the_index_spaces_agree(monkeypatch):
+    # the index tuples of the two sides are comparable only when the
+    # commutation graph lists the group's elements in storage order
+    real = verify.commutation_graph
+
+    def reversed_vertices(h):
+        g = real(h)
+        return Graph(make_set(reversed(g.vertices.labels)), g.edges)
+
+    monkeypatch.setattr(verify, "commutation_graph", reversed_vertices)
+    report = verify.run_suite("ac-bijection", max_vertices=3)
+    assert not report.passed
+    assert report.cases_checked == 0
+    assert sorted(report.counterexample) == ["commutation_graph", "group", "reason"]
 
 
 def test_dvi_mutation_is_caught(monkeypatch):
