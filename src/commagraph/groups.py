@@ -3,7 +3,13 @@
 Elements of free groups and RAAGs are words, i.e. sequences of signed
 generators.  Equality of RAAG elements is decided by a one-pass cancellation
 engine, O(n*k) for n letters over k generators (Wrathall 1988), and
-double-checked elsewhere by a brute-force shuffle oracle.  Reduced words
+double-checked elsewhere by a brute-force oracle that uses none of it.  The
+oracle is one rewriting, read two ways: a word is trivial iff swaps of
+adjacent commuting letters and free cancellations take it to the empty
+word.  Read downward, one word is tested by a breadth-first swap closure,
+cancelling and starting over; read upward, every identity word of each
+length is built once, from the shorter ones by inserting an inverse pair
+and closing under swaps, so that a word is tested by a lookup.  Reduced words
 are put into a canonical form, the lexicographically least word obtainable
 by swapping adjacent commuting letters, in O(n*k + n log n); two words
 denote the same element iff they reduce to the same canonical form.
@@ -272,6 +278,38 @@ class _RaagEngine:
             if cancelled is None:
                 return False
             w = cancelled
+
+    def oracle_identity_words(self, max_len: int) -> list[set[tuple[int, ...]]]:
+        """Every identity word of each length 0..max_len, by the rewriting of
+        oracle_is_identity read upward: a word of length n is trivial iff a
+        swap-equivalent word has an adjacent inverse pair whose removal
+        leaves a trivial word.  So length n inserts an inverse pair at every
+        position of every identity word of length n-2, then closes the result
+        under swaps of adjacent commuting letters."""
+        letter_adjacent = self.letter_adjacent
+        letters = range(len(letter_adjacent))
+        words: list[set[tuple[int, ...]]] = [{()}]
+        for n in range(1, max_len + 1):
+            found: set[tuple[int, ...]] = set()
+            stack = []
+            for w in words[n - 2] if n >= 2 else ():
+                for i in range(n - 1):
+                    for c in letters:
+                        v = w[:i] + (c, c ^ 1) + w[i:]
+                        if v not in found:
+                            found.add(v)
+                            stack.append(v)
+            while stack:
+                u = stack.pop()
+                for i in range(n - 1):
+                    a, b = u[i], u[i + 1]
+                    if letter_adjacent[a][b]:
+                        v = u[:i] + (b, a) + u[i + 2:]
+                        if v not in found:
+                            found.add(v)
+                            stack.append(v)
+            words.append(found)
+        return words
 
 
 @lru_cache(maxsize=ENGINE_CACHE_SIZE)

@@ -48,8 +48,10 @@ from commagraph.errors import (
     WordTooLong,
 )
 from commagraph.groups import (
+    ORACLE_DEFAULT_BOUND,
     GroupHom,
     Raag,
+    _engine,
     apply_hom,
     compose_group_homs,
     group_from_json,
@@ -171,6 +173,21 @@ def test_engine_agrees_with_oracle_exhaustively_small():
         for length in range(6):
             for w in product(letters, repeat=length):
                 assert raag_is_identity(raag, w) == raag_oracle_is_identity(raag, w)
+
+
+def test_oracle_identity_words_agree_with_oracle_bfs():
+    # the upward reading against the downward one: every word of length <= 5
+    # over graphs with <= 3 vertices, and of length <= 8 over <= 2 vertices
+    for max_vertices, max_len in ((3, 5), (2, 8)):
+        for g in graphs_up_to(max_vertices):
+            engine = _engine(g)
+            trivial = engine.oracle_identity_words(max_len)
+            assert len(trivial) == max_len + 1 and trivial[0] == {()}
+            letters = range(2 * len(g.vertices))
+            for length in range(max_len + 1):
+                for codes in product(letters, repeat=length):
+                    in_set = codes in trivial[length]
+                    assert in_set == engine.oracle_is_identity(codes, ORACLE_DEFAULT_BOUND), (g, codes)
 
 
 @settings(max_examples=300)

@@ -128,6 +128,17 @@ def test_word_differential_single_generator():
     assert report.passed
 
 
+def _replayed_verdict(ce) -> bool:
+    """Replay a witness through the public API: the unmutated engine's and
+    BFS oracle's common verdict on it."""
+    from commagraph import raag_is_identity, raag_oracle_is_identity
+
+    raag, w = raag_of(graph_from_json(ce["presentation"])), word_from_tokens(ce["word"])
+    fast = raag_is_identity(raag, w)
+    assert fast == raag_oracle_is_identity(raag, w)
+    return fast
+
+
 def test_word_differential_mutation_is_caught(monkeypatch):
     from commagraph.groups import _RaagEngine
 
@@ -143,12 +154,57 @@ def test_word_differential_mutation_is_caught(monkeypatch):
     assert not report.passed
     ce = report.counterexample
     monkeypatch.undo()
-    # replay the witness through the public API
-    g = graph_from_json(ce["presentation"])
-    w = word_from_tokens(ce["word"])
-    from commagraph import raag_is_identity, raag_oracle_is_identity
+    assert _replayed_verdict(ce) == ce["oracle"] != ce["fast"]
 
-    assert raag_is_identity(raag_of(g), w) == raag_oracle_is_identity(raag_of(g), w)
+
+def test_word_differential_engine_blocking_mutation_is_caught(monkeypatch):
+    from commagraph.groups import _RaagEngine
+
+    def no_blocking_check(self, enc):
+        # cancels against the last kept letter of the generator, past anything
+        kept: list[int] = []
+        below: list[int] = []
+        top = [-1] * len(self.labels)
+        for c in enc:
+            g = c >> 1
+            p = top[g]
+            if p >= 0 and kept[p] == c ^ 1:
+                kept[p] = -1
+                top[g] = below[p]
+                continue
+            below.append(p)
+            top[g] = len(kept)
+            kept.append(c)
+        return [c for c in kept if c >= 0]
+
+    monkeypatch.setattr(_RaagEngine, "cancel_fixpoint", no_blocking_check)
+    report = verify.run_suite("word-differential", max_vertices=2, max_len=4, random_words=0)
+    assert not report.passed
+    ce = report.counterexample
+    assert ce["presentation"]["edges"] == [] and ce["word"] == ["a", "b", "-a", "-b"]
+    monkeypatch.undo()
+    assert _replayed_verdict(ce) == ce["oracle"] != ce["fast"]
+
+
+def test_word_differential_oracle_swap_mutation_is_caught(monkeypatch):
+    from commagraph.groups import _RaagEngine
+
+    def insertions_only(self, max_len):
+        letters = range(2 * len(self.labels))
+        words = [{()}]
+        for n in range(1, max_len + 1):
+            shorter = words[n - 2] if n >= 2 else ()
+            words.append({w[:i] + (c, c ^ 1) + w[i:] for w in shorter for i in range(n - 1) for c in letters})
+        return words
+
+    monkeypatch.setattr(_RaagEngine, "oracle_identity_words", insertions_only)
+    report = verify.run_suite("word-differential", max_vertices=2, max_len=4, random_words=0)
+    assert not report.passed
+    ce = report.counterexample
+    # abAB on an edge is trivial only after a swap
+    assert ce["presentation"]["edges"] == [["a", "b"]] and ce["word"] == ["a", "b", "-a", "-b"]
+    monkeypatch.undo()
+    assert _replayed_verdict(ce) == ce["fast"] != ce["oracle"]
 
 
 def test_reports_are_deterministic():
