@@ -10,6 +10,7 @@ of word reductions in the presented group of a path.
 import json
 
 from commagraph import (
+    Raag,
     comma,
     coreflect,
     cyclic_group,
@@ -18,7 +19,6 @@ from commagraph import (
     make_graph,
     make_set,
     raag_is_identity,
-    raag_of,
     raag_reduce,
     symmetric_group_3,
     word_from_tokens,
@@ -46,7 +46,7 @@ def main() -> None:
     show("a transposition and a rotation coreflect to a discrete graph",
          graph_to_json(coreflect(witness).graph))
 
-    raag = raag_of(path)
+    raag = Raag(path)
     for tokens in (["a", "b", "-a", "-b"], ["a", "c", "-a", "-c"], ["b", "a", "c", "-a"]):
         word = word_from_tokens(tokens)
         reduced = raag_reduce(raag, word)

@@ -34,13 +34,9 @@ from .groups import (
     evaluate_word,
     finite_group_from_permutations,
     finite_group_from_table,
-    free_group_on,
     hom_check,
     klein_four_group,
-    raag_commute,
-    raag_equal,
     raag_is_identity,
-    raag_of,
     raag_on_hom,
     raag_oracle_is_identity,
     raag_reduce,

@@ -25,11 +25,11 @@ from .graphs import enumerate_graph_homs, graph_from_json, graph_to_json
 from .groups import (
     CLOSURE_DEFAULT_CAP,
     FiniteGroup,
+    Raag,
     commutation_graph,
     enumerate_homs_raag_to_finite,
     group_from_json,
     group_to_json,
-    raag_of,
     raag_reduce,
     word_from_tokens,
     word_to_tokens,
@@ -80,7 +80,7 @@ def _cmd_coreflect(args) -> int:
 
 def _cmd_raag_reduce(args) -> int:
     g = graph_from_json(_load_json(args.graph))
-    raag = raag_of(g)
+    raag = Raag(g)
     word = word_from_tokens(args.word)
     reduced = raag_reduce(raag, word)
     _note(f"reduced {len(word)} letters to {len(reduced)}")
@@ -114,12 +114,12 @@ def _cmd_homs(args) -> int:
         h = group_from_json(other, closure_cap=args.closure_cap)
         if not isinstance(h, FiniteGroup):
             raise MalformedInput("hom enumeration needs a graph or a finite group")
-        homs = enumerate_homs_raag_to_finite(raag_of(g), h)
+        homs = enumerate_homs_raag_to_finite(Raag(g), h)
         payload = {
             "count": len(homs),
             "dom": graph_to_json(g),
             "group": group_to_json(h),
-            "homs": [{v: f.generator_images[v] for v in g.vertices} for f in homs],
+            "homs": [{v: f.images[v] for v in g.vertices} for f in homs],
         }
     _note(f"{payload['count']} homomorphisms")
     _emit(payload, args)

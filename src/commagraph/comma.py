@@ -28,13 +28,13 @@ from .groups import (
     FiniteGroup,
     GroupHandle,
     GroupHom,
+    Raag,
     apply_hom,
     compose_group_homs,
     group_from_json,
     group_to_json,
     hom_check,
     identity_group_hom,
-    raag_of,
     raag_on_hom,
 )
 from .sets import FiniteSet, SetMap, compose_maps, finite_set_from_json, identity_map
@@ -124,7 +124,7 @@ def embed_graph(g: Graph) -> CommaObject:
     """A graph as a comma object: the quotient map from the free group on
     the vertices to the group the graph presents, one single-letter image
     per vertex."""
-    return CommaObject(g.vertices, raag_of(g), {v: ((v, 1),) for v in g.vertices})
+    return CommaObject(g.vertices, Raag(g), {v: ((v, 1),) for v in g.vertices})
 
 
 def embed_graph_hom(f: GraphHom) -> CommaMorphism:
@@ -155,10 +155,7 @@ def enumerate_morphisms_from_embedded_graph(g: Graph, w: CommaObject) -> list[Co
             for u, v in g.edges
         ):
             f_set = SetMap(g.vertices, w.gens, assignment)
-            f_grp = GroupHom(
-                src.target, t,
-                generator_images={v: w.images[assignment[v]] for v in g.vertices},
-            )
+            f_grp = GroupHom(src.target, t, {v: w.images[assignment[v]] for v in g.vertices})
             out.append(CommaMorphism(src, w, f_set, f_grp))
     return out
 
@@ -192,7 +189,7 @@ def coreflect(w: CommaObject) -> Coreflection:
         embed_graph(graph),
         w,
         identity_map(w.gens),
-        GroupHom(raag_of(graph), t, generator_images=dict(w.images)),
+        GroupHom(Raag(graph), t, dict(w.images)),
     )
     return Coreflection(graph, counit)
 
@@ -264,18 +261,13 @@ def comma_object_from_json(data: object, closure_cap: int = CLOSURE_DEFAULT_CAP)
 
 
 def comma_morphism_to_json(m: CommaMorphism) -> dict:
-    if m.f_grp.generator_images is not None:
-        grp = {
-            "generator_images": {
-                g: m.f_grp.cod.element_to_json(x)
-                for g, x in sorted(m.f_grp.generator_images.items())
-            }
-        }
-    else:
-        grp = {"table": {a: b for a, b in sorted(m.f_grp.table.items())}}
+    """The group part is keyed "generator_images" out of a presented group
+    and "table" out of a finite one."""
+    f = m.f_grp
+    key = "generator_images" if isinstance(f.dom, Raag) else "table"
     return {
         "from": comma_object_to_json(m.src),
         "to": comma_object_to_json(m.dst),
         "f_set": {x: m.f_set.mapping[x] for x in m.f_set.dom},
-        "f_grp": grp,
+        "f_grp": {key: {x: f.cod.element_to_json(y) for x, y in sorted(f.images.items())}},
     }

@@ -146,6 +146,7 @@ def _graph_hom_images(g: Graph, h: Graph) -> list[tuple[int, ...]]:
                 extend(i + 1)
 
     extend(0)
+    del extend  # the closure refers to itself; free the search's sets now
     return out
 
 

@@ -95,13 +95,6 @@ def word_inverse(w: Word) -> Word:
     return tuple((gen, -sign) for gen, sign in reversed(w))
 
 
-def word_concat(*ws: Word) -> Word:
-    out: tuple[tuple[str, int], ...] = ()
-    for w in ws:
-        out = out + tuple(w)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Right-angled Artin groups
 
@@ -117,20 +110,12 @@ class Raag:
     def generators(self) -> FiniteSet:
         return self.presentation.vertices
 
-    def identity_element(self) -> Word:
-        return ()
-
-    def multiply(self, a: Word, b: Word) -> Word:
-        return raag_reduce(self, word_concat(a, b))
-
-    def invert(self, a: Word) -> Word:
-        return word_inverse(as_word(a))
-
     def equal(self, a: Word, b: Word) -> bool:
-        return a == b or raag_equal(self, a, b)
+        return a == b or raag_is_identity(self, as_word(a) + word_inverse(as_word(b)))
 
     def commutes(self, a: Word, b: Word) -> bool:
-        return raag_commute(self, a, b)
+        u, v = as_word(a), as_word(b)
+        return raag_is_identity(self, u + v + word_inverse(u) + word_inverse(v))
 
     def validate_element(self, value) -> Word:
         w = as_word(value)
@@ -317,15 +302,6 @@ def _engine(graph: Graph) -> _RaagEngine:
     return _RaagEngine(graph)
 
 
-def raag_of(g: Graph) -> Raag:
-    return Raag(g)
-
-
-def free_group_on(x: FiniteSet) -> Raag:
-    """The free group, presented by the edgeless graph on x."""
-    return Raag(discrete(x))
-
-
 def raag_reduce(raag: Raag, w: Iterable) -> Word:
     """Cancellation-free canonical representative of the same element."""
     engine = _engine(raag.presentation)
@@ -341,16 +317,6 @@ def raag_is_identity(raag: Raag, w: Iterable) -> bool:
 def raag_oracle_is_identity(raag: Raag, w: Iterable, bound: int = ORACLE_DEFAULT_BOUND) -> bool:
     engine = _engine(raag.presentation)
     return engine.oracle_is_identity(engine.encode(as_word(w)), bound)
-
-
-def raag_equal(raag: Raag, u: Iterable, v: Iterable) -> bool:
-    return raag_is_identity(raag, word_concat(as_word(u), word_inverse(as_word(v))))
-
-
-def raag_commute(raag: Raag, u: Iterable, v: Iterable) -> bool:
-    u, v = as_word(u), as_word(v)
-    commutator = word_concat(u, v, word_inverse(u), word_inverse(v))
-    return raag_is_identity(raag, commutator)
 
 
 # ---------------------------------------------------------------------------
@@ -369,9 +335,6 @@ class FiniteGroup:
     inverse: dict[str, str]
 
     __hash__ = None  # type: ignore[assignment]
-
-    def identity_element(self) -> str:
-        return self.identity
 
     def multiply(self, a: str, b: str) -> str:
         return self.elements.labels[self.rows[self.index[a]][self.index[b]]]
@@ -642,38 +605,30 @@ def commutation_graph(h: FiniteGroup) -> Graph:
 
 @dataclass(frozen=True, eq=False)
 class GroupHom:
-    """A homomorphism given by generator images (presented domain) or by a
-    full element table (finite domain)."""
+    """A homomorphism, given by its images on the domain's generators: the
+    vertices of a presented group, or every element of a finite group, read
+    as a quotient of the free group on its elements."""
 
     dom: GroupHandle
     cod: GroupHandle
-    generator_images: dict[str, object] | None = None
-    table: dict[str, str] | None = None
+    images: dict[str, object]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GroupHom):
             return NotImplemented
         if self.dom != other.dom or self.cod != other.cod:
             return False
-        if (self.generator_images is None) != (other.generator_images is None):
-            return False
-        if self.generator_images is not None:
-            mine, theirs = self.generator_images, other.generator_images
-            return set(mine) == set(theirs) and all(
-                self.cod.equal(mine[k], theirs[k]) for k in mine
-            )
-        return set(self.table) == set(other.table) and all(
-            self.cod.equal(self.table[k], other.table[k]) for k in self.table
-        )
+        mine, theirs = self.images, other.images
+        return set(mine) == set(theirs) and all(self.cod.equal(mine[k], theirs[k]) for k in mine)
 
 
 def apply_hom(f: GroupHom, x):
     """Image of an element of f's domain."""
     if isinstance(f.dom, Raag):
-        return evaluate_word(f.generator_images, as_word(x), f.cod)
-    if x not in f.table:
+        return evaluate_word(f.images, x, f.cod)
+    if x not in f.images:
         raise UnknownElement(f"{x!r} is not an element of the domain")
-    return f.table[x]
+    return f.images[x]
 
 
 def evaluate_word(images: Mapping[str, object], w: Iterable, h: GroupHandle):
@@ -689,7 +644,7 @@ def evaluate_word(images: Mapping[str, object], w: Iterable, h: GroupHandle):
         for x, sign in letters:
             word.extend(as_word(x) if sign > 0 else word_inverse(as_word(x)))
         return raag_reduce(h, word)
-    acc = h.identity_element()
+    acc = h.identity
     for x, sign in letters:
         acc = h.multiply(acc, x if sign > 0 else h.invert(x))
     return acc
@@ -702,42 +657,31 @@ def hom_check(f: GroupHom) -> bool:
     edgeless presentation imposes nothing).  Finite domain: the full
     f(ab) = f(a)f(b) table is checked.
     """
-    if isinstance(f.dom, Raag):
-        images = f.generator_images
-        if images is None:
-            raise MissingImage("a presented domain needs generator images")
-        for gen in f.dom.generators:
-            if gen not in images:
-                raise MissingImage(f"no image given for generator {gen!r}")
-        return all(
-            f.cod.commutes(images[u], images[v]) for u, v in f.dom.presentation.edges
-        )
-    if f.table is None:
-        raise MissingImage("a finite domain needs a full element table")
-    for a in f.dom.elements:
-        if a not in f.table:
-            raise MissingImage(f"no image given for element {a!r}")
+    dom, images = f.dom, f.images
+    presented = isinstance(dom, Raag)
+    for x in dom.generators if presented else dom.elements:
+        if x not in images:
+            raise MissingImage(f"no image given for generator {x!r}")
+    if presented:
+        return all(f.cod.commutes(images[u], images[v]) for u, v in dom.presentation.edges)
     return all(
-        f.cod.equal(f.table[f.dom.multiply(a, b)], f.cod.multiply(f.table[a], f.table[b]))
-        for a in f.dom.elements
-        for b in f.dom.elements
+        f.cod.equal(images[dom.multiply(a, b)], evaluate_word(images, ((a, 1), (b, 1)), f.cod))
+        for a in dom.elements
+        for b in dom.elements
     )
 
 
 def identity_group_hom(h: GroupHandle) -> GroupHom:
     if isinstance(h, Raag):
-        return GroupHom(h, h, generator_images={v: ((v, 1),) for v in h.generators})
-    return GroupHom(h, h, table={x: x for x in h.elements})
+        return GroupHom(h, h, {v: ((v, 1),) for v in h.generators})
+    return GroupHom(h, h, {x: x for x in h.elements})
 
 
 def compose_group_homs(f: GroupHom, g: GroupHom) -> GroupHom:
     """The composite g after f."""
     if f.cod != g.dom:
         raise InvalidHom("codomain of the first hom differs from domain of the second")
-    if isinstance(f.dom, Raag):
-        images = {v: apply_hom(g, f.generator_images[v]) for v in f.dom.generators}
-        return GroupHom(f.dom, g.cod, generator_images=images)
-    return GroupHom(f.dom, g.cod, table={x: apply_hom(g, f.table[x]) for x in f.dom.elements})
+    return GroupHom(f.dom, g.cod, {x: apply_hom(g, y) for x, y in f.images.items()})
 
 
 def raag_on_hom(f: GraphHom) -> GroupHom:
@@ -749,7 +693,7 @@ def raag_on_hom(f: GraphHom) -> GroupHom:
     if not is_graph_hom(f.dom, f.cod, f.vmap):
         raise InvalidHom("the vertex map is not a graph homomorphism")
     images = {v: ((f.vmap.mapping[v], 1),) for v in f.dom.vertices}
-    return GroupHom(Raag(f.dom), Raag(f.cod), generator_images=images)
+    return GroupHom(Raag(f.dom), Raag(f.cod), images)
 
 
 def _raag_hom_images(raag: Raag, h: FiniteGroup) -> list[tuple[int, ...]]:
@@ -789,6 +733,7 @@ def _raag_hom_images(raag: Raag, h: FiniteGroup) -> list[tuple[int, ...]]:
             extend(i + 1)
 
     extend(0)
+    del extend  # the closure refers to itself; free the search's sets now
     return out
 
 
@@ -798,7 +743,7 @@ def enumerate_homs_raag_to_finite(raag: Raag, h: FiniteGroup) -> list[GroupHom]:
     the homs of ``_raag_hom_images`` with labels attached."""
     gens, labels = raag.generators.labels, h.elements.labels
     return [
-        GroupHom(raag, h, generator_images={v: labels[c] for v, c in zip(gens, images)})
+        GroupHom(raag, h, {v: labels[c] for v, c in zip(gens, images)})
         for images in _raag_hom_images(raag, h)
     ]
 
@@ -833,7 +778,7 @@ def enumerate_homs_finite_to_finite(dom: FiniteGroup, cod: FiniteGroup) -> list[
                 continue
             break
         else:
-            out.append(GroupHom(dom, cod, table={a: cod_labels[c] for a, c in zip(labels, image)}))
+            out.append(GroupHom(dom, cod, {a: cod_labels[c] for a, c in zip(labels, image)}))
     return out
 
 
@@ -841,7 +786,7 @@ def commutation_counit(h: FiniteGroup) -> GroupHom:
     """The evaluation hom from the group presented by h's commutation graph
     onto h: the generator named by an element goes to that element."""
     raag = Raag(commutation_graph(h))
-    return GroupHom(raag, h, generator_images={x: x for x in h.elements})
+    return GroupHom(raag, h, {x: x for x in h.elements})
 
 
 # ---------------------------------------------------------------------------
@@ -869,7 +814,7 @@ def group_from_json(data: object, closure_cap: int = CLOSURE_DEFAULT_CAP) -> Gro
     if kind == "free":
         if "generators" not in data:
             raise MalformedInput('a "free" group needs a "generators" array')
-        return free_group_on(finite_set_from_json(data["generators"]))
+        return Raag(discrete(finite_set_from_json(data["generators"])))
     if kind == "cayley":
         if "elements" not in data or "table" not in data:
             raise MalformedInput('a "cayley" group needs "elements" and "table"')

@@ -29,8 +29,8 @@ from .graphs import (
     Graph, _graph_hom_images, discrete, enumerate_graph_homs, graph_to_json, indiscrete, make_graph,
 )
 from .groups import (
-    ORACLE_DEFAULT_BOUND, FiniteGroup, _engine, _raag_hom_images, commutation_graph, cyclic_group,
-    enumerate_homs_finite_to_finite, group_to_json, klein_four_group, raag_of, symmetric_group_3,
+    ORACLE_DEFAULT_BOUND, FiniteGroup, Raag, _engine, _raag_hom_images, commutation_graph,
+    cyclic_group, enumerate_homs_finite_to_finite, group_to_json, klein_four_group, symmetric_group_3,
     trivial_group, word_to_tokens,
 )
 from .sets import SetMap, make_set
@@ -154,7 +154,7 @@ def _ac_bijection(max_vertices: int, groups: list[FiniteGroup]) -> Cases:
     for g in graphs_up_to(max_vertices):
         for h, h_graph in targets:
             graph_side = set(_graph_hom_images(g, h_graph))
-            group_side = set(_raag_hom_images(raag_of(g), h))
+            group_side = set(_raag_hom_images(Raag(g), h))
             yield None if graph_side == group_side else {
                 "graph": graph_to_json(g),
                 "group": group_to_json(h),
@@ -224,13 +224,13 @@ def _group_reflection(pool: list[comma.CommaObject], codomains: list[FiniteGroup
             hom_list = enumerate_homs_finite_to_finite(w.target, k)
             source = comma.embed_group(w.target)
             through = [
-                comma.CommaMorphism(source, embedded, SetMap(source.gens, k.elements, dict(f.table)), f)
+                comma.CommaMorphism(source, embedded, SetMap(source.gens, k.elements, dict(f.images)), f)
                 for f in hom_list
             ]
             composites = None
             where = {"object": comma.comma_object_to_json(w), "codomain": group_to_json(k)}
             for f in hom_list:
-                f_set = SetMap(w.gens, k.elements, {x: f.table[w.images[x]] for x in w.gens})
+                f_set = SetMap(w.gens, k.elements, {x: f.images[w.images[x]] for x in w.gens})
                 m = comma.CommaMorphism(w, embedded, f_set, f)
                 if comma.is_comma_morphism(m):
                     if composites is None:

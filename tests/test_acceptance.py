@@ -9,6 +9,7 @@ asserted against the library.
 import time
 
 from commagraph import (
+    Raag,
     comma,
     coreflect,
     cyclic_group,
@@ -20,7 +21,6 @@ from commagraph import (
     klein_four_group,
     make_graph,
     make_set,
-    raag_of,
     reflect_to_group,
     symmetric_group_3,
     trivial_group,
@@ -63,7 +63,7 @@ def test_criterion_3_ac_hom_bijection():
         edge = make_graph(make_set(["a", "b"]), [("a", "b")])
         s3 = symmetric_group_3()
         graph_side = len(enumerate_graph_homs(edge, commutation_graph(s3)))
-        group_side = len(enumerate_homs_raag_to_finite(raag_of(edge), s3))
+        group_side = len(enumerate_homs_raag_to_finite(Raag(edge), s3))
         return report, graph_side, group_side
 
     (report, graph_side, group_side), elapsed = _timed(run)

@@ -1,0 +1,49 @@
+"""The public API carries no function whose only caller is its own test."""
+
+import ast
+import inspect
+from pathlib import Path
+
+import commagraph
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "commagraph"
+
+# Exported functions that nothing in src/ or scripts/ calls, each with why.
+WITHOUT_CALLER = {
+    "raag_oracle_is_identity": "the independent oracle that the engine's tests compare against",
+    "identity_hom": "graph functor law; waits for the functor suite (ROADMAP item 4)",
+    "compose_homs": "graph functor law; waits for the functor suite (ROADMAP item 4)",
+    "make_graph_hom": "graph functor law; waits for the functor suite (ROADMAP item 4)",
+    "identity_comma": "comma functor law; waits for the functor suite (ROADMAP item 4)",
+    "commutation_counit": "group-side counit; waits for the functor suite (ROADMAP item 4)",
+}
+
+
+def _exported_functions() -> set[str]:
+    return {name for name, value in vars(commagraph).items() if inspect.isfunction(value)}
+
+
+def _referenced_names() -> set[str]:
+    """Names read as a variable or an attribute anywhere in src/ or scripts/
+    outside __init__.py; a def or an import binds a name without reading it."""
+    files = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    files += sorted((ROOT / "scripts").glob("*.py"))
+    names = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+def test_every_exported_function_has_a_caller():
+    exported = _exported_functions()
+    assert set(WITHOUT_CALLER) <= exported, "an allow-listed name is no longer exported"
+    uncalled = exported - _referenced_names()
+    assert uncalled == set(WITHOUT_CALLER), (
+        f"exported without a caller: {sorted(uncalled - set(WITHOUT_CALLER))}; "
+        f"allow-listed but now called: {sorted(set(WITHOUT_CALLER) - uncalled)}"
+    )

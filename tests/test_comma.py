@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from commagraph import (
     CommaMorphism,
+    Raag,
     compose_comma,
     coreflect,
     cyclic_group,
@@ -21,11 +22,10 @@ from commagraph import (
     make_graph,
     make_graph_hom,
     make_set,
-    raag_of,
     reflect_to_group,
     symmetric_group_3,
 )
-from commagraph.comma import comma_object_from_json, comma_object_to_json
+from commagraph.comma import comma_morphism_to_json, comma_object_from_json, comma_object_to_json
 from commagraph.errors import (
     MalformedInput,
     MissingImage,
@@ -84,7 +84,7 @@ def test_make_comma_object_extra_key():
 
 
 def test_make_comma_object_raag_target_checks_letters():
-    raag = raag_of(edge_graph())
+    raag = Raag(edge_graph())
     w = make_comma_object(make_set(["x"]), raag, {"x": (("a", 1), ("b", 1))})
     assert w.images["x"] == (("a", 1), ("b", 1))
     with pytest.raises(UnknownGenerator):
@@ -100,7 +100,7 @@ def test_squaring_square_commutes():
     c4 = cyclic_group(4)
     src = make_comma_object(make_set(["x"]), c4, {"x": "g"})
     dst = make_comma_object(make_set(["x"]), c4, {"x": "g2"})
-    squaring = GroupHom(c4, c4, table={"e": "e", "g": "g2", "g2": "e", "g3": "g2"})
+    squaring = GroupHom(c4, c4, {"e": "e", "g": "g2", "g2": "e", "g3": "g2"})
     assert is_comma_morphism(CommaMorphism(src, dst, identity_map(src.gens), squaring))
 
 
@@ -113,7 +113,7 @@ def test_identity_group_part_does_not_commute():
 
 
 def test_equality_over_a_raag_compares_elements_not_words():
-    raag = raag_of(edge_graph())
+    raag = Raag(edge_graph())
     a, b, ia = ("a", 1), ("b", 1), ("a", -1)
 
     def obj(image):
@@ -123,14 +123,14 @@ def test_equality_over_a_raag_compares_elements_not_words():
     assert obj((a, b)) == obj((b, a))
     assert obj((a, ia, b)) == obj((b,))
     assert obj((a, b)) != obj((a,))
-    free = raag_of(discrete(make_set(["a", "b"])))
+    free = Raag(discrete(make_set(["a", "b"])))
     assert make_comma_object(make_set(["x"]), free, {"x": (a, b)}) != make_comma_object(
         make_set(["x"]), free, {"x": (b, a)}
     )
 
 
 def test_morphisms_with_equal_set_maps_can_differ():
-    raag = raag_of(edge_graph())
+    raag = Raag(edge_graph())
     a, b, ib = ("a", 1), ("b", 1), ("b", -1)
     src = embed_graph(make_graph(make_set(["v"]), []))
     dst = make_comma_object(make_set(["x"]), raag, {"x": (a,)})
@@ -138,7 +138,7 @@ def test_morphisms_with_equal_set_maps_can_differ():
     f_set = SetMap(src.gens, dst.gens, {"v": "x"})
 
     def f_grp(image):
-        return GroupHom(src.target, raag, generator_images={"v": image})
+        return GroupHom(src.target, raag, {"v": image})
 
     m = CommaMorphism(src, dst, f_set, f_grp((a,)))
     assert m == CommaMorphism(src, dst, f_set, f_grp((b, a, ib)))
@@ -176,7 +176,7 @@ def test_compose_associative_on_counits():
 def test_embed_graph_shapes():
     w = embed_graph(edge_graph())
     assert w.gens == edge_graph().vertices
-    assert w.target == raag_of(edge_graph())
+    assert w.target == Raag(edge_graph())
     assert w.images == {"a": (("a", 1),), "b": (("b", 1),)}
 
     point = embed_graph(discrete(make_set(["a"])))
@@ -367,11 +367,11 @@ def test_group_reflection_universal_property_small():
         embedded = embed_group(k)
         homs = enumerate_homs_finite_to_finite(w.target, k)
         through = [
-            CommaMorphism(embed_group(w.target), embedded, SetMap(w.target.elements, k.elements, dict(f.table)), f)
+            CommaMorphism(embed_group(w.target), embedded, SetMap(w.target.elements, k.elements, dict(f.images)), f)
             for f in homs
         ]
         for f in homs:
-            m = CommaMorphism(w, embedded, SetMap(w.gens, k.elements, {"x": f.table["g"]}), f)
+            m = CommaMorphism(w, embedded, SetMap(w.gens, k.elements, {"x": f.images["g"]}), f)
             assert is_comma_morphism(m)
             matches = [g for g in through if compose_comma(unit, g) == m]
             assert len(matches) == 1
@@ -402,6 +402,36 @@ def test_comma_object_json_perm_target():
     }
     w = comma_object_from_json(data)
     assert w.target == symmetric_group_3()
+
+
+def test_comma_morphism_json_out_of_a_presented_group():
+    edge = Raag(edge_graph())
+    w = make_comma_object(make_set(["x", "y"]), edge, {"x": (("a", 1),), "y": (("b", 1), ("a", -1))})
+    assert comma_morphism_to_json(coreflect(w).counit) == {
+        "from": {
+            "gens": ["x", "y"],
+            "target": {"type": "raag", "presentation": {"vertices": ["x", "y"], "edges": [["x", "y"]]}},
+            "images": {"x": ["x"], "y": ["y"]},
+        },
+        "to": {
+            "gens": ["x", "y"],
+            "target": {"type": "raag", "presentation": {"vertices": ["a", "b"], "edges": [["a", "b"]]}},
+            "images": {"x": ["a"], "y": ["b", "-a"]},
+        },
+        "f_set": {"x": "x", "y": "y"},
+        "f_grp": {"generator_images": {"x": ["a"], "y": ["b", "-a"]}},
+    }
+
+
+def test_comma_morphism_json_out_of_a_finite_group():
+    w = make_comma_object(make_set(["x"]), cyclic_group(2), {"x": "g"})
+    c2 = {"type": "cayley", "elements": ["e", "g"], "table": [["e", "g"], ["g", "e"]]}
+    assert comma_morphism_to_json(reflect_to_group(w).unit) == {
+        "from": {"gens": ["x"], "target": c2, "images": {"x": "g"}},
+        "to": {"gens": ["e", "g"], "target": c2, "images": {"e": "e", "g": "g"}},
+        "f_set": {"x": "g"},
+        "f_grp": {"table": {"e": "e", "g": "g"}},
+    }
 
 
 @given(graphs(max_vertices=3))

@@ -20,10 +20,10 @@ from commagraph import (
 from commagraph.errors import DomainMismatch, LoopEdge, UnknownVertex
 from commagraph.graphs import graph_from_json, graph_to_json
 from commagraph.groups import (
+    Raag,
     commutation_graph,
     enumerate_homs_raag_to_finite,
     finite_group_from_permutations,
-    raag_of,
 )
 from commagraph.sets import SetMap, compose_maps, identity_map
 from commagraph.verify import default_ac_groups, graphs_up_to
@@ -159,7 +159,7 @@ def test_enumeration_into_large_commutation_graph_is_fast():
         start = time.perf_counter()
         count = len(enumerate_graph_homs(g, target))
         assert time.perf_counter() - start < 1.0
-        assert count == expected == len(enumerate_homs_raag_to_finite(raag_of(g), s5))
+        assert count == expected == len(enumerate_homs_raag_to_finite(Raag(g), s5))
 
 
 @given(graphs(max_vertices=4), graphs(max_vertices=4))

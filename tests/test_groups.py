@@ -1,3 +1,4 @@
+import gc
 import random
 import re
 import time
@@ -18,17 +19,13 @@ from commagraph import (
     evaluate_word,
     finite_group_from_permutations,
     finite_group_from_table,
-    free_group_on,
     hom_check,
     indiscrete,
     klein_four_group,
     make_graph,
     make_graph_hom,
     make_set,
-    raag_commute,
-    raag_equal,
     raag_is_identity,
-    raag_of,
     raag_on_hom,
     raag_oracle_is_identity,
     raag_reduce,
@@ -38,6 +35,7 @@ from commagraph import (
 from commagraph.errors import (
     InvalidHom,
     MalformedInput,
+    MissingImage,
     NoIdentity,
     NoInverse,
     NotAPermutation,
@@ -47,11 +45,13 @@ from commagraph.errors import (
     UnknownGenerator,
     WordTooLong,
 )
+from commagraph.graphs import _graph_hom_images
 from commagraph.groups import (
     ORACLE_DEFAULT_BOUND,
     GroupHom,
     Raag,
     _engine,
+    _raag_hom_images,
     apply_hom,
     compose_group_homs,
     group_from_json,
@@ -70,11 +70,11 @@ COMMUTATOR = (A, B, iA, iB)
 
 
 def edge_raag():
-    return raag_of(make_graph(make_set(["a", "b"]), [("a", "b")]))
+    return Raag(make_graph(make_set(["a", "b"]), [("a", "b")]))
 
 
 def discrete_raag(n=2):
-    return raag_of(discrete(make_set(["a", "b", "c", "d"][:n])))
+    return Raag(discrete(make_set(["a", "b", "c", "d"][:n])))
 
 
 def _dihedral_group_4():
@@ -114,8 +114,8 @@ def test_free_reduce_idempotent_and_shorter(gw):
 @given(graph_with_word(max_len=10))
 def test_free_reduce_preserves_element(gw):
     g, w = gw
-    free = free_group_on(g.vertices)
-    assert raag_equal(free, w, _free_reduce(w))
+    free = Raag(discrete(g.vertices))
+    assert free.equal(w, _free_reduce(w))
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +146,7 @@ def test_unknown_generator_rejected():
 
 
 def test_path_commutator_of_endpoints_is_not_identity():
-    path = raag_of(make_graph(make_set(["a", "b", "c"]), [("a", "b"), ("b", "c")]))
+    path = Raag(make_graph(make_set(["a", "b", "c"]), [("a", "b"), ("b", "c")]))
     endpoints = (A, ("c", 1), iA, ("c", -1))
     assert not raag_is_identity(path, endpoints)
     assert not raag_oracle_is_identity(path, endpoints)
@@ -168,7 +168,7 @@ def test_oracle_word_length_bound():
 def test_engine_agrees_with_oracle_exhaustively_small():
     # every word of length <= 5 over every labeled graph with <= 3 vertices
     for g in graphs_up_to(3):
-        raag = raag_of(g)
+        raag = Raag(g)
         letters = [(v, s) for v in g.vertices for s in (1, -1)]
         for length in range(6):
             for w in product(letters, repeat=length):
@@ -194,16 +194,16 @@ def test_oracle_identity_words_agree_with_oracle_bfs():
 @given(graph_with_word(max_vertices=4, max_len=8))
 def test_engine_agrees_with_oracle_sampled(gw):
     g, w = gw
-    raag = raag_of(g)
+    raag = Raag(g)
     assert raag_is_identity(raag, w) == raag_oracle_is_identity(raag, w)
 
 
 @given(graph_with_word(max_len=8))
 def test_reduce_output_is_cancellation_free_and_equal(gw):
     g, w = gw
-    raag = raag_of(g)
+    raag = Raag(g)
     reduced = raag_reduce(raag, w)
-    assert raag_equal(raag, w, reduced)
+    assert raag.equal(w, reduced)
     assert raag_reduce(raag, reduced) == reduced
     # no free cancellation can hide in a reduced word
     assert _free_reduce(reduced) == reduced
@@ -212,21 +212,21 @@ def test_reduce_output_is_cancellation_free_and_equal(gw):
 @given(graph_with_words(2, max_vertices=4, max_len=6))
 def test_reduced_form_is_a_complete_invariant(gws):
     g, u, v = gws
-    raag = raag_of(g)
-    assert (raag_reduce(raag, u) == raag_reduce(raag, v)) == raag_equal(raag, u, v)
+    raag = Raag(g)
+    assert (raag_reduce(raag, u) == raag_reduce(raag, v)) == raag.equal(u, v)
 
 
 @given(graph_with_word(max_vertices=4, max_len=10, min_vertices=1))
 def test_discrete_graphs_reduce_like_free_groups(gw):
     g, w = gw
-    free = raag_of(discrete(g.vertices))
+    free = Raag(discrete(g.vertices))
     assert raag_is_identity(free, w) == (_free_reduce(w) == ())
 
 
 @given(graph_with_words(2, max_vertices=4, max_len=8))
 def test_complete_graphs_reduce_like_free_abelian(gws):
     g, u, v = gws
-    raag = raag_of(indiscrete(g.vertices))
+    raag = Raag(indiscrete(g.vertices))
 
     def exponents(w):
         out = {x: 0 for x in g.vertices}
@@ -234,13 +234,13 @@ def test_complete_graphs_reduce_like_free_abelian(gws):
             out[gen] += sign
         return out
 
-    assert raag_equal(raag, u, v) == (exponents(u) == exponents(v))
+    assert raag.equal(u, v) == (exponents(u) == exponents(v))
 
 
 @given(graph_with_words(2, max_len=6), st.data())
 def test_raag_equal_is_a_congruence(gws, data):
     g, u1, v1 = gws
-    raag = raag_of(g)
+    raag = Raag(g)
     # u2 is the canonical form of u1; v2 is v1 with a cancelling pair spliced in
     u2 = raag_reduce(raag, u1)
     if len(g.vertices):
@@ -249,9 +249,9 @@ def test_raag_equal_is_a_congruence(gws, data):
         v2 = v1[:cut] + ((x, 1), (x, -1)) + v1[cut:]
     else:
         v2 = v1
-    assert raag_equal(raag, u1, u2)
-    assert raag_equal(raag, v1, v2)
-    assert raag_equal(raag, u1 + v1, u2 + v2)
+    assert raag.equal(u1, u2)
+    assert raag.equal(v1, v2)
+    assert raag.equal(u1 + v1, u2 + v2)
 
 
 def _swap_closure(graph, word):
@@ -276,7 +276,7 @@ def test_reduced_form_is_lex_least_of_its_shuffle_class():
     # shuffle class of its own output (generator order = storage order,
     # a positive letter before its inverse)
     for g in graphs_up_to(3):
-        raag = raag_of(g)
+        raag = Raag(g)
         index = {v: i for i, v in enumerate(g.vertices)}
 
         def key(w):
@@ -288,7 +288,7 @@ def test_reduced_form_is_lex_least_of_its_shuffle_class():
                 reduced = raag_reduce(raag, w)
                 closure = _swap_closure(g, reduced)
                 assert reduced == min(closure, key=key)
-                assert all(raag_equal(raag, w, u) for u in closure)
+                assert all(raag.equal(w, u) for u in closure)
 
 
 def _reference_reduce(graph, word):
@@ -357,8 +357,8 @@ def test_reduce_matches_reference_on_long_words():
             u = word(20, 80)
             w = u + word(0, 40) + word_inverse(u)
         expected = _reference_reduce(g, w)
-        assert raag_reduce(raag_of(g), w) == expected
-        assert raag_is_identity(raag_of(g), w) == (expected == ())
+        assert raag_reduce(Raag(g), w) == expected
+        assert raag_is_identity(Raag(g), w) == (expected == ())
 
 
 def test_engine_is_fast_on_long_words():
@@ -371,7 +371,7 @@ def test_engine_is_fast_on_long_words():
     ]
     u = tuple((rng.choice(labels.labels), rng.choice((1, -1))) for _ in range(16000))
     start = time.perf_counter()
-    assert raag_is_identity(raag_of(make_graph(labels, edges)), u + word_inverse(u))
+    assert raag_is_identity(Raag(make_graph(labels, edges)), u + word_inverse(u))
     assert time.perf_counter() - start < 5.0
     # a scan back past commuting letters would cross all of b^16000 for every a
     adversarial = (iA,) + (B,) * 16000 + (A, iA) * 16000
@@ -381,17 +381,17 @@ def test_engine_is_fast_on_long_words():
 
 
 def test_commute_examples():
-    assert raag_commute(edge_raag(), (A,), (B,))
-    assert not raag_commute(discrete_raag(), (A,), (B,))
-    assert raag_commute(discrete_raag(), (A,), (A,))
+    assert edge_raag().commutes((A,), (B,))
+    assert not discrete_raag().commutes((A,), (B,))
+    assert discrete_raag().commutes((A,), (A,))
 
 
 def test_generators_commute_exactly_on_edges():
     for g in graphs_up_to(4):
-        raag = raag_of(g)
+        raag = Raag(g)
         for i, u in enumerate(g.vertices):
             for v in g.vertices.labels[i + 1:]:
-                assert raag_commute(raag, ((u, 1),), ((v, 1),)) == g.has_edge(u, v)
+                assert raag.commutes(((u, 1),), ((v, 1),)) == g.has_edge(u, v)
 
 
 # ---------------------------------------------------------------------------
@@ -626,23 +626,23 @@ def test_commutation_graph_identity_degree():
 # the graph -> group functor
 
 def test_raag_of_discrete_is_free():
-    free = raag_of(discrete(make_set(["a", "b"])))
-    assert not raag_commute(free, (A,), (B,))
+    free = Raag(discrete(make_set(["a", "b"])))
+    assert not free.commutes((A,), (B,))
     assert free.presentation.edges == ()
 
 
 def test_raag_of_triangle_is_free_abelian():
-    triangle = raag_of(indiscrete(make_set(["a", "b", "c"])))
+    triangle = Raag(indiscrete(make_set(["a", "b", "c"])))
     labels = triangle.generators.labels
     for i, u in enumerate(labels):
         for v in labels[i + 1:]:
-            assert raag_commute(triangle, ((u, 1),), ((v, 1),))
+            assert triangle.commutes(((u, 1),), ((v, 1),))
 
 
 def test_raag_on_hom_functor_laws():
     g = make_graph(make_set(["a", "b"]), [("a", "b")])
     ident = raag_on_hom(make_graph_hom(g, g, {"a": "a", "b": "b"}))
-    assert ident == identity_group_hom(raag_of(g))
+    assert ident == identity_group_hom(Raag(g))
     h = indiscrete(make_set(["c", "d", "e"]))
     f1 = make_graph_hom(g, h, {"a": "c", "b": "d"})
     f2 = make_graph_hom(h, h, {"c": "d", "d": "e", "e": "c"})
@@ -663,7 +663,7 @@ def test_raag_on_hom_rejects_non_hom():
 
 
 def test_free_group_equality_matches_free_reduce():
-    free = free_group_on(make_set(["a", "b"]))
+    free = Raag(discrete(make_set(["a", "b"])))
     rng = random.Random(0)
     letters = [("a", 1), ("a", -1), ("b", 1), ("b", -1)]
     for _ in range(1000):
@@ -672,9 +672,9 @@ def test_free_group_equality_matches_free_reduce():
 
 
 def test_infinite_cyclic():
-    free = free_group_on(make_set(["a"]))
-    assert raag_equal(free, (A, A, iA), (A,))
-    trivial = free_group_on(make_set([]))
+    free = Raag(discrete(make_set(["a"])))
+    assert free.equal((A, A, iA), (A,))
+    trivial = Raag(discrete(make_set([])))
     assert raag_is_identity(trivial, ())
 
 
@@ -698,7 +698,7 @@ def _reference_evaluate(images, w, raag):
     acc = ()
     for gen, sign in w:
         x = images[gen] if sign > 0 else word_inverse(images[gen])
-        acc = raag.multiply(acc, x)
+        acc = raag_reduce(raag, acc + x)
     return acc
 
 
@@ -715,7 +715,7 @@ def test_evaluate_word_into_raag_matches_letter_by_letter():
             (u, v) for i, u in enumerate(cod_labels) for v in cod_labels.labels[i + 1:]
             if rng.random() < 0.5
         ]
-        cod = raag_of(make_graph(cod_labels, edges))
+        cod = Raag(make_graph(cod_labels, edges))
         images = {v: _random_word(rng, cod_labels.labels, rng.randint(0, 4)) for v in dom}
         w = _random_word(rng, dom.labels, rng.randint(0, 30))
         assert evaluate_word(images, w, cod) == _reference_evaluate(images, w, cod)
@@ -728,7 +728,7 @@ def test_evaluate_word_into_raag_is_fast():
     edges = [
         (u, v) for i, u in enumerate(labels) for v in labels.labels[i + 1:] if rng.random() < 0.5
     ]
-    raag = raag_of(make_graph(labels, edges))
+    raag = Raag(make_graph(labels, edges))
     w = _random_word(rng, labels.labels, 4000)
     start = time.perf_counter()
     result = evaluate_word({v: ((v, 1),) for v in labels}, w, raag)
@@ -738,36 +738,55 @@ def test_evaluate_word_into_raag_is_fast():
 
 def test_hom_check_equal_images_commute():
     s3 = symmetric_group_3()
-    f = GroupHom(edge_raag(), s3, generator_images={"a": "213", "b": "213"})
+    f = GroupHom(edge_raag(), s3, {"a": "213", "b": "213"})
     assert hom_check(f)
 
 
 def test_hom_check_noncommuting_images_fail():
     s3 = symmetric_group_3()
-    f = GroupHom(edge_raag(), s3, generator_images={"a": "213", "b": "231"})
+    f = GroupHom(edge_raag(), s3, {"a": "213", "b": "231"})
     assert not hom_check(f)
 
 
 def test_hom_check_free_domain_accepts_anything():
     s3 = symmetric_group_3()
-    free = free_group_on(make_set(["a", "b"]))
+    free = Raag(discrete(make_set(["a", "b"])))
     for x, y in product(s3.elements.labels, repeat=2):
-        assert hom_check(GroupHom(free, s3, generator_images={"a": x, "b": y}))
+        assert hom_check(GroupHom(free, s3, {"a": x, "b": y}))
 
 
 def test_apply_hom_finite_domain():
     c2, c4 = cyclic_group(2), cyclic_group(4)
-    f = GroupHom(c2, c4, table={"e": "e", "g": "g2"})
+    f = GroupHom(c2, c4, {"e": "e", "g": "g2"})
     assert apply_hom(f, "g") == "g2"
     assert hom_check(f)
+
+
+def test_compose_group_homs_finite_domain():
+    c2, c4 = cyclic_group(2), cyclic_group(4)
+    f = GroupHom(c2, c4, {"e": "e", "g": "g2"})
+    squaring = GroupHom(c4, c4, {"e": "e", "g": "g2", "g2": "e", "g3": "g2"})
+    assert compose_group_homs(f, squaring) == GroupHom(c2, c4, {"e": "e", "g": "e"})
+
+
+def test_hom_check_finite_domain_missing_image():
+    with pytest.raises(MissingImage):
+        hom_check(GroupHom(cyclic_group(2), cyclic_group(4), {"e": "e"}))
+
+
+def test_homs_with_equal_images_differ_by_domain():
+    c2, c4 = cyclic_group(2), cyclic_group(4)
+    images = {"e": "e", "g": "g2"}
+    free = Raag(discrete(c2.elements))
+    assert GroupHom(c2, c4, images) != GroupHom(free, c4, images)
 
 
 def test_enumerate_homs_raag_to_finite_counts():
     s3 = symmetric_group_3()
     assert len(enumerate_homs_raag_to_finite(edge_raag(), s3)) == 18
-    point = raag_of(discrete(make_set(["a"])))
+    point = Raag(discrete(make_set(["a"])))
     assert len(enumerate_homs_raag_to_finite(point, s3)) == 6
-    empty = raag_of(discrete(make_set([])))
+    empty = Raag(discrete(make_set([])))
     assert len(enumerate_homs_raag_to_finite(empty, s3)) == 1
 
 
@@ -788,9 +807,9 @@ def test_enumerate_homs_matches_product_order():
                 for images in product(h.elements.labels, repeat=len(gens))
                 if all(h.commutes(images[gens.index(u)], images[gens.index(v)]) for u, v in g.edges)
             ]
-            found = enumerate_homs_raag_to_finite(raag_of(g), h)
-            assert [f.generator_images for f in found] == expected
-            assert all(list(f.generator_images) == list(gens) for f in found)
+            found = enumerate_homs_raag_to_finite(Raag(g), h)
+            assert [f.images for f in found] == expected
+            assert all(list(f.images) == list(gens) for f in found)
 
 
 def _cyclic_3_identity_last():
@@ -815,8 +834,8 @@ def test_enumerate_finite_to_finite_matches_brute_force():
             if all(f[dom.multiply(a, b)] == cod.multiply(f[a], f[b]) for a in labels for b in labels):
                 expected.append(f)
         found = enumerate_homs_finite_to_finite(dom, cod)
-        assert [f.table for f in found] == expected
-        assert all(list(f.table) == list(labels) for f in found)
+        assert [f.images for f in found] == expected
+        assert all(list(f.images) == list(labels) for f in found)
 
 
 def test_enumerate_finite_to_finite_counts():
@@ -841,10 +860,28 @@ def test_hom_set_bijection_up_to_order_8():
             for f in enumerate_graph_homs(g, c_d4)
         }
         group_side = {
-            tuple(sorted(f.generator_images.items()))
-            for f in enumerate_homs_raag_to_finite(raag_of(g), d4)
+            tuple(sorted(f.images.items()))
+            for f in enumerate_homs_raag_to_finite(Raag(g), d4)
         }
         assert graph_side == group_side
+
+
+def test_hom_searches_free_their_working_sets_at_once():
+    # each search recurses through a nested closure; left in place, the
+    # closure's reference to itself would keep the search's tuple list and
+    # lookup sets alive until a full collection
+    s3 = symmetric_group_3()
+    g = make_graph(make_set(["a", "b", "c"]), [("a", "b"), ("b", "c")])
+    s3_graph = commutation_graph(s3)
+    gc.collect()
+    gc.disable()
+    try:
+        _raag_hom_images(Raag(g), s3)
+        assert gc.collect() == 0
+        _graph_hom_images(g, s3_graph)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_commutation_counit_is_a_hom():

@@ -5,7 +5,7 @@ import pytest
 from commagraph import comma, verify
 from commagraph.graphs import Graph, enumerate_graph_homs, graph_from_json
 from commagraph.groups import (
-    FiniteGroup, commutation_graph, enumerate_homs_raag_to_finite, raag_of, word_from_tokens,
+    FiniteGroup, Raag, commutation_graph, enumerate_homs_raag_to_finite, word_from_tokens,
 )
 from commagraph.sets import SetMap, make_set
 
@@ -133,7 +133,7 @@ def _replayed_verdict(ce) -> bool:
     BFS oracle's common verdict on it."""
     from commagraph import raag_is_identity, raag_oracle_is_identity
 
-    raag, w = raag_of(graph_from_json(ce["presentation"])), word_from_tokens(ce["word"])
+    raag, w = Raag(graph_from_json(ce["presentation"])), word_from_tokens(ce["word"])
     fast = raag_is_identity(raag, w)
     assert fast == raag_oracle_is_identity(raag, w)
     return fast
@@ -283,11 +283,11 @@ def test_ac_bijection_index_views_match_public_lists():
                 tuple(index[f(v)] for v in g.vertices) for f in enumerate_graph_homs(g, h_graph)
             ]
             group_homs = [
-                tuple(index[f.generator_images[v]] for v in g.vertices)
-                for f in enumerate_homs_raag_to_finite(raag_of(g), h)
+                tuple(index[f.images[v]] for v in g.vertices)
+                for f in enumerate_homs_raag_to_finite(Raag(g), h)
             ]
             assert verify._graph_hom_images(g, h_graph) == graph_homs
-            assert verify._raag_hom_images(raag_of(g), h) == group_homs
+            assert verify._raag_hom_images(Raag(g), h) == group_homs
 
 
 def test_ac_bijection_mutation_is_caught(monkeypatch):
