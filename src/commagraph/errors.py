@@ -39,10 +39,6 @@ class UnknownGenerator(InputError):
     pass
 
 
-class WordTooLong(InputError):
-    pass
-
-
 class NotAssociative(InputError):
     pass
 

@@ -3,13 +3,13 @@
 Elements of free groups and RAAGs are words, i.e. sequences of signed
 generators.  Equality of RAAG elements is decided by a one-pass cancellation
 engine, O(n*k) for n letters over k generators (Wrathall 1988), and
-double-checked elsewhere by a brute-force oracle that uses none of it.  The
-oracle is one rewriting, read two ways: a word is trivial iff swaps of
-adjacent commuting letters and free cancellations take it to the empty
-word.  Read downward, one word is tested by a breadth-first swap closure,
-cancelling and starting over; read upward, every identity word of each
-length is built once, from the shorter ones by inserting an inverse pair
-and closing under swaps, so that a word is tested by a lookup.  Reduced words
+double-checked elsewhere by two oracles that use none of it.  A rewriting
+(swaps of adjacent commuting letters, free cancellations) builds every
+identity word of each length once, inserting an inverse pair into the
+shorter ones and closing under swaps, so a short word is tested by a lookup.
+The faithful Tits representation of a right-angled Coxeter group that
+contains the RAAG (Davis-Januszkiewicz 2000) tests a word of any length in
+O(n*k), on exact integers.  Reduced words
 are put into a canonical form, the lexicographically least word obtainable
 by swapping adjacent commuting letters, in O(n*k + n log n); two words
 denote the same element iff they reduce to the same canonical form.
@@ -27,7 +27,6 @@ graph (distinct elements joined iff they commute).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
@@ -45,14 +44,12 @@ from .errors import (
     OrderCapExceeded,
     UnknownElement,
     UnknownGenerator,
-    WordTooLong,
 )
 from .graphs import Graph, GraphHom, discrete, graph_from_json, graph_to_json, is_graph_hom
 from .sets import FiniteSet, finite_set_from_json, make_set
 
 Word = tuple[tuple[str, int], ...]
 
-ORACLE_DEFAULT_BOUND = 12
 CLOSURE_DEFAULT_CAP = 1000  # elements; the table then has at most 10^6 entries
 ENGINE_CACHE_SIZE = 128  # above the 76 graphs on <= 4 vertices of word-differential
 
@@ -137,6 +134,7 @@ class _RaagEngine:
     Generator i gets codes 2i (positive) and 2i+1 (inverse), so the inverse
     of a code is code^1 and its generator is code>>1.  blocking[i] holds i
     and its non-neighbours: the generators a letter of i never moves past.
+    letter_adjacent, which only the oracles read, says which codes commute.
     """
 
     __slots__ = ("labels", "index", "blocking", "letter_adjacent")
@@ -230,47 +228,34 @@ class _RaagEngine:
                         heappush(ready, reduced[j])
         return out
 
-    def oracle_is_identity(self, enc: Sequence[int], bound: int) -> bool:
-        """Brute-force identity check: breadth-first closure under swaps of
-        adjacent commuting letters; when any reachable word has an adjacent
-        inverse pair, cancel it and start over on the shorter word."""
-        if len(enc) > bound:
-            raise WordTooLong(f"oracle refuses words longer than {bound}")
+    def oracle_is_identity(self, enc: Sequence[int]) -> bool:
+        """Identity check in the Tits representation, O(n*k) on exact integers.
+        Letter c is the product of reflections c and c^1 in a graph product of
+        infinite dihedral groups, a right-angled Coxeter group containing the
+        RAAG: reflections commute iff their generators are adjacent, so twins
+        never do.  Reflection s moves f, in the open fundamental chamber, by
+        f[t] -= 2*B(s,t)*f[s], B being 1 on the diagonal, -1 between
+        non-commuting reflections and 0 between commuting ones.  The chamber
+        action is simply transitive (Bourbaki, ch. V 4): the word is trivial
+        iff f comes back.  The form reads letter_adjacent, never blocking."""
         letter_adjacent = self.letter_adjacent
-        w = tuple(enc)
-        while True:
-            if not w:
-                return True
-            cancelled = None
-            seen = {w}
-            queue = deque((w,))
-            while queue:
-                u = queue.popleft()
-                last = len(u) - 1
-                for i in range(last):
-                    if u[i] == (u[i + 1] ^ 1):
-                        cancelled = u[:i] + u[i + 2:]
-                        break
-                if cancelled is not None:
-                    break
-                for i in range(last):
-                    a, b = u[i], u[i + 1]
-                    if letter_adjacent[a][b]:
-                        v = u[:i] + (b, a) + u[i + 2:]
-                        if v not in seen:
-                            seen.add(v)
-                            queue.append(v)
-            if cancelled is None:
-                return False
-            w = cancelled
+        f = [1] * len(letter_adjacent)
+        for c in enc:
+            for s in (c, c ^ 1):
+                fs = f[s]
+                for t, commutes in enumerate(letter_adjacent[s]):
+                    if not commutes:
+                        f[t] += 2 * fs
+                f[s] = -fs  # B(s,s) = 1
+        return all(x == 1 for x in f)
 
     def oracle_identity_words(self, max_len: int) -> list[set[tuple[int, ...]]]:
-        """Every identity word of each length 0..max_len, by the rewriting of
-        oracle_is_identity read upward: a word of length n is trivial iff a
-        swap-equivalent word has an adjacent inverse pair whose removal
-        leaves a trivial word.  So length n inserts an inverse pair at every
-        position of every identity word of length n-2, then closes the result
-        under swaps of adjacent commuting letters."""
+        """Every identity word of each length 0..max_len, by a rewriting read
+        upward: a word of length n is trivial iff a swap-equivalent word has
+        an adjacent inverse pair whose removal leaves a trivial word.  So
+        length n inserts an inverse pair at every position of every identity
+        word of length n-2, then closes the result under swaps of adjacent
+        commuting letters."""
         letter_adjacent = self.letter_adjacent
         letters = range(len(letter_adjacent))
         words: list[set[tuple[int, ...]]] = [{()}]
@@ -314,9 +299,9 @@ def raag_is_identity(raag: Raag, w: Iterable) -> bool:
     return engine.is_identity(engine.encode(as_word(w)))
 
 
-def raag_oracle_is_identity(raag: Raag, w: Iterable, bound: int = ORACLE_DEFAULT_BOUND) -> bool:
+def raag_oracle_is_identity(raag: Raag, w: Iterable) -> bool:
     engine = _engine(raag.presentation)
-    return engine.oracle_is_identity(engine.encode(as_word(w)), bound)
+    return engine.oracle_is_identity(engine.encode(as_word(w)))
 
 
 # ---------------------------------------------------------------------------
@@ -626,8 +611,8 @@ def apply_hom(f: GroupHom, x):
     """Image of an element of f's domain."""
     if isinstance(f.dom, Raag):
         return evaluate_word(f.images, x, f.cod)
-    if x not in f.images:
-        raise UnknownElement(f"{x!r} is not an element of the domain")
+    if f.dom.validate_element(x) not in f.images:
+        raise MissingImage(f"no image given for generator {x!r}")
     return f.images[x]
 
 
@@ -654,8 +639,9 @@ def hom_check(f: GroupHom) -> bool:
     """Whether f respects the domain's relations.
 
     Presented domain: images of adjacent generators must commute (an
-    edgeless presentation imposes nothing).  Finite domain: the full
-    f(ab) = f(a)f(b) table is checked.
+    edgeless presentation imposes nothing).  Finite domain: f(xg) = f(x)f(g)
+    for every x and each g of a greedy generating set S, never empty, in
+    n * |S| checks; induction on y as a product of S gives f(xy) = f(x)f(y).
     """
     dom, images = f.dom, f.images
     presented = isinstance(dom, Raag)
@@ -664,10 +650,12 @@ def hom_check(f: GroupHom) -> bool:
             raise MissingImage(f"no image given for generator {x!r}")
     if presented:
         return all(f.cod.commutes(images[u], images[v]) for u, v in dom.presentation.edges)
+    labels = dom.elements.labels
+    gens = _magma_generators(dom.rows)
     return all(
-        f.cod.equal(images[dom.multiply(a, b)], evaluate_word(images, ((a, 1), (b, 1)), f.cod))
-        for a in dom.elements
-        for b in dom.elements
+        f.cod.equal(images[labels[row[g]]], evaluate_word(images, ((x, 1), (labels[g], 1)), f.cod))
+        for x, row in zip(labels, dom.rows)
+        for g in gens
     )
 
 

@@ -11,7 +11,7 @@ PACKAGE = ROOT / "src" / "commagraph"
 
 # Exported functions that nothing in src/ or scripts/ calls, each with why.
 WITHOUT_CALLER = {
-    "raag_oracle_is_identity": "the independent oracle that the engine's tests compare against",
+    "raag_oracle_is_identity": "the Tits oracle on one word; the engine's long-word tests compare against it",
     "identity_hom": "graph functor law; waits for the functor suite (ROADMAP item 4)",
     "compose_homs": "graph functor law; waits for the functor suite (ROADMAP item 4)",
     "make_graph_hom": "graph functor law; waits for the functor suite (ROADMAP item 4)",

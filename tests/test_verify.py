@@ -130,7 +130,7 @@ def test_word_differential_single_generator():
 
 def _replayed_verdict(ce) -> bool:
     """Replay a witness through the public API: the unmutated engine's and
-    BFS oracle's common verdict on it."""
+    Tits oracle's common verdict on it."""
     from commagraph import raag_is_identity, raag_oracle_is_identity
 
     raag, w = Raag(graph_from_json(ce["presentation"])), word_from_tokens(ce["word"])
@@ -205,6 +205,72 @@ def test_word_differential_oracle_swap_mutation_is_caught(monkeypatch):
     assert ce["presentation"]["edges"] == [["a", "b"]] and ce["word"] == ["a", "b", "-a", "-b"]
     monkeypatch.undo()
     assert _replayed_verdict(ce) == ce["fast"] != ce["oracle"]
+
+
+@pytest.fixture
+def fresh_engines():
+    """Empty the engine cache before and after a test that patches
+    _RaagEngine.__init__, so no engine outlives the patch it was built under."""
+    from commagraph.groups import _engine
+
+    _engine.cache_clear()
+    yield
+    _engine.cache_clear()
+
+
+def _twins_commute(letter_adjacent):
+    # each generator's two reflections commute: every generator is an involution
+    for c, row in enumerate(letter_adjacent):
+        row[c ^ 1] = True
+
+
+def _one_entry_flipped(letter_adjacent):
+    # one wrong off-diagonal entry, between the first reflections of a and b
+    if len(letter_adjacent) > 2:
+        letter_adjacent[0][2] = letter_adjacent[2][0] = not letter_adjacent[0][2]
+
+
+@pytest.mark.parametrize("corrupt", [_twins_commute, _one_entry_flipped])
+def test_word_differential_tits_form_mutation_is_caught(monkeypatch, fresh_engines, corrupt):
+    from commagraph.groups import _engine, _RaagEngine
+
+    real = _RaagEngine.__init__
+
+    def corrupted(self, graph):
+        real(self, graph)
+        corrupt(self.letter_adjacent)
+
+    monkeypatch.setattr(_RaagEngine, "__init__", corrupted)
+    report = verify.run_suite("word-differential", max_len=0)
+    assert not report.passed
+    ce = report.counterexample
+    monkeypatch.undo()
+    _engine.cache_clear()
+    assert _replayed_verdict(ce) == ce["fast"] != ce["oracle"]
+
+
+def test_word_differential_blocking_table_mutation_is_caught(monkeypatch, fresh_engines):
+    from commagraph.groups import _engine, _RaagEngine
+
+    real = _RaagEngine.__init__
+
+    def leaky_blocking(self, graph):
+        # the engine's table forgets the first non-neighbour of the first
+        # generator that has one; the oracle reads letter_adjacent instead
+        real(self, graph)
+        for g, row in enumerate(self.blocking):
+            others = [h for h in row if h != g]
+            if others:
+                self.blocking[g] = tuple(h for h in row if h != others[0])
+                break
+
+    monkeypatch.setattr(_RaagEngine, "__init__", leaky_blocking)
+    report = verify.run_suite("word-differential", max_vertices=0, max_len=0)
+    assert not report.passed
+    ce = report.counterexample
+    monkeypatch.undo()
+    _engine.cache_clear()
+    assert _replayed_verdict(ce) == ce["oracle"] != ce["fast"]
 
 
 def test_reports_are_deterministic():
