@@ -75,7 +75,7 @@ class CommaMorphism:
 
 
 def make_comma_object(gens: FiniteSet, target: GroupHandle, images: Mapping[str, object]) -> CommaObject:
-    extra = set(images) - set(gens.labels)
+    extra = set(images) - gens.positions.keys()
     if extra:
         raise MalformedInput(f"images mention labels outside the generator set: {sorted(extra)}")
     validated: dict[str, object] = {}
@@ -194,12 +194,11 @@ def coreflect(w: CommaObject) -> Coreflection:
     return Coreflection(graph, counit)
 
 
-def factor_through_coreflection(g: Graph, m: CommaMorphism) -> GraphHom:
+def factor_through_coreflection(core: Coreflection, g: Graph, m: CommaMorphism) -> GraphHom:
     """The unique graph hom whose embedded image followed by the counit
-    gives back m, for m out of the embedded graph g."""
-    if m.src != embed_graph(g):
-        raise ObjectMismatch("the morphism does not start at the embedded graph")
-    core = coreflect(m.dst)
+    gives back m, for m out of the embedded graph g into core's object."""
+    if m.src != embed_graph(g) or m.dst != core.counit.dst:
+        raise ObjectMismatch("the morphism must run from the embedded graph to the coreflected object")
     vmap = SetMap(g.vertices, core.graph.vertices, dict(m.f_set.mapping))
     if not is_graph_hom(g, core.graph, vmap):
         raise NotFactorable(

@@ -6,12 +6,15 @@ the adjoint triple discrete -| vertices -| indiscrete against finite sets.
 
 Edges are canonicalized on construction: each pair is ordered by vertex
 storage position and the edge list is sorted by those positions, so equal
-graphs compare equal and serialize identically.
+graphs compare equal and serialize identically.  A graph builds its
+neighbour sets of vertex positions once; edge tests, hom searches and the
+word engine all read them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import DomainMismatch, InvalidHom, LoopEdge, MalformedInput, UnknownVertex
@@ -31,11 +34,18 @@ class Graph:
     vertices: FiniteSet
     edges: tuple[tuple[str, str], ...]
 
+    @cached_property
+    def neighbours(self) -> list[set[int]]:
+        """The positions adjacent to each vertex position, built once."""
+        pos = self.vertices.positions
+        out: list[set[int]] = [set() for _ in self.vertices]
+        for u, v in self.edges:
+            out[pos[u]].add(pos[v])
+            out[pos[v]].add(pos[u])
+        return out
+
     def has_edge(self, u: str, v: str) -> bool:
-        i, j = self.vertices.index(u), self.vertices.index(v)
-        if i > j:
-            u, v = v, u
-        return (u, v) in self.edges
+        return self.vertices.positions[v] in self.neighbours[self.vertices.positions[u]]
 
 
 @dataclass(frozen=True, eq=True)
@@ -51,7 +61,7 @@ class GraphHom:
 
 
 def make_graph(vertices: FiniteSet, edges: Iterable[Sequence[str]]) -> Graph:
-    index = {v: i for i, v in enumerate(vertices)}
+    index = vertices.positions
     canonical: set[tuple[str, str]] = set()
     for edge in edges:
         u, v = edge
@@ -112,25 +122,16 @@ def _graph_hom_images(g: Graph, h: Graph) -> list[tuple[int, ...]]:
 
     Vertices of g are assigned in storage order, every vertex of h is tried
     as the image in storage order, and an image is kept when it lies in the
-    neighbour set of each earlier neighbour's image.  The neighbour sets are
-    built once from h's edges, O(V + E), and each holds its own vertex, so a
-    collapsed edge passes; a test costs the same however many edges h has.
+    closed neighbour set of each earlier neighbour's image.  Each closed set
+    holds its own vertex, so a collapsed edge passes; a test costs the same
+    however many edges h has.
     """
-    pos = {v: i for i, v in enumerate(g.vertices.labels)}
-    earlier: list[list[int]] = [[] for _ in pos]
-    for u, v in g.edges:
-        i, j = sorted((pos[u], pos[v]))
-        earlier[j].append(i)
-    cod_pos = {v: i for i, v in enumerate(h.vertices.labels)}
-    neighbours = [{i} for i in range(len(cod_pos))]
-    for u, v in h.edges:
-        i, j = cod_pos[u], cod_pos[v]
-        neighbours[i].add(j)
-        neighbours[j].add(i)
-    images = range(len(cod_pos))
+    earlier = [sorted(i for i in adj if i < j) for j, adj in enumerate(g.neighbours)]
+    neighbours = [adj | {i} for i, adj in enumerate(h.neighbours)]
+    images = range(len(neighbours))
 
     out: list[tuple[int, ...]] = []
-    chosen = [0] * len(pos)
+    chosen = [0] * len(earlier)
 
     def extend(i: int) -> None:
         if i == len(chosen):

@@ -1,28 +1,31 @@
 """Computable groups: free groups, right-angled Artin groups, finite groups.
 
 Elements of free groups and RAAGs are words, i.e. sequences of signed
-generators.  Equality of RAAG elements is decided by a one-pass cancellation
-engine, O(n*k) for n letters over k generators (Wrathall 1988), and
-double-checked elsewhere by two oracles that use none of it.  A rewriting
-(swaps of adjacent commuting letters, free cancellations) builds every
-identity word of each length once, inserting an inverse pair into the
-shorter ones and closing under swaps, so a short word is tested by a lookup.
-The faithful Tits representation of a right-angled Coxeter group that
-contains the RAAG (Davis-Januszkiewicz 2000) tests a word of any length in
-O(n*k), on exact integers.  Reduced words
-are put into a canonical form, the lexicographically least word obtainable
-by swapping adjacent commuting letters, in O(n*k + n log n); two words
-denote the same element iff they reduce to the same canonical form.
+generators, whose letters are checked once, where the engine encodes them.
+Equality of RAAG elements is decided by a one-pass cancellation engine,
+O(n*k) for n letters over k generators (Wrathall 1988), and double-checked
+elsewhere by two oracles that use none of it.  A rewriting (swaps of
+adjacent commuting letters, free cancellations) builds every identity word
+of each length once, inserting an inverse pair into the shorter ones and
+closing under swaps, so a short word is tested by a lookup.  The faithful
+Tits representation of a right-angled Coxeter group that contains the RAAG
+(Davis-Januszkiewicz 2000) tests a word of any length in O(n*k), on exact
+integers.  Reduced words are put into a canonical form, the
+lexicographically least word obtainable by swapping adjacent commuting
+letters, in O(n*k + n log n); two words denote the same element iff they
+reduce to the same canonical form.
 
-Finite groups keep their Cayley table as rows of element indices; labels
-appear only where elements go in or out.  One validator checks every
-table: associativity by Light's test against a greedy generating set S, in
-O(n^2 * |S|) with |S| <= log2(n) + 1 for a group of order n, then identity
-and inverses in O(n^2).  A permutation closure derives its rows from the
-closure's own edges, a * x = (a * parent(x)) * g, by n^2 integer lookups.
-The two directions between graphs and groups live here as well: a graph
-yields the RAAG presented by it, and a finite group yields its commutation
-graph (distinct elements joined iff they commute).
+Finite groups keep their Cayley table as rows of element indices, read
+through the element set's label positions; labels appear only where
+elements go in or out.  A table comes in one form, square rows of labels.
+One validator checks every table: associativity by Light's test against a
+greedy generating set S, in O(n^2 * |S|) with |S| <= log2(n) + 1 for a
+group of order n, then it finds the identity and checks inverses in O(n^2).
+A permutation closure derives its rows from the closure's own edges,
+a * x = (a * parent(x)) * g, by n^2 integer lookups.  The two directions
+between graphs and groups live here as well: a graph yields the RAAG
+presented by it, and a finite group yields its commutation graph (distinct
+elements joined iff they commute).
 """
 
 from __future__ import annotations
@@ -88,10 +91,6 @@ def word_to_tokens(w: Word) -> list[str]:
     return [gen if sign > 0 else "-" + gen for gen, sign in w]
 
 
-def word_inverse(w: Word) -> Word:
-    return tuple((gen, -sign) for gen, sign in reversed(w))
-
-
 # ---------------------------------------------------------------------------
 # Right-angled Artin groups
 
@@ -108,19 +107,22 @@ class Raag:
         return self.presentation.vertices
 
     def equal(self, a: Word, b: Word) -> bool:
-        return a == b or raag_is_identity(self, as_word(a) + word_inverse(as_word(b)))
+        if a == b:
+            return True
+        engine = _engine(self.presentation)
+        return engine.is_identity(engine.encode(a) + _inverse_codes(engine.encode(b)))
 
     def commutes(self, a: Word, b: Word) -> bool:
-        u, v = as_word(a), as_word(b)
-        return raag_is_identity(self, u + v + word_inverse(u) + word_inverse(v))
+        engine = _engine(self.presentation)
+        u, v = engine.encode(a), engine.encode(b)
+        return engine.is_identity(u + v + _inverse_codes(u) + _inverse_codes(v))
 
     def validate_element(self, value) -> Word:
-        w = as_word(value)
-        _engine(self.presentation).encode(w)
-        return w
+        engine = _engine(self.presentation)
+        return engine.decode(engine.encode(value))
 
     def element_to_json(self, value: Word) -> list[str]:
-        return word_to_tokens(as_word(value))
+        return word_to_tokens(value)
 
     def element_from_json(self, data) -> Word:
         if not isinstance(data, list):
@@ -135,28 +137,24 @@ class _RaagEngine:
     of a code is code^1 and its generator is code>>1.  blocking[i] holds i
     and its non-neighbours: the generators a letter of i never moves past.
     letter_adjacent, which only the oracles read, says which codes commute.
+    Words enter through encode, the one place their letters are checked.
     """
 
-    __slots__ = ("labels", "index", "blocking", "letter_adjacent")
+    __slots__ = ("labels", "positions", "blocking", "letter_adjacent")
 
     def __init__(self, graph: Graph):
         self.labels = graph.vertices.labels
-        self.index = {v: i for i, v in enumerate(self.labels)}
+        self.positions = graph.vertices.positions
         n = len(self.labels)
-        adjacent: list[set[int]] = [set() for _ in range(n)]
-        for u, v in graph.edges:
-            iu, iv = self.index[u], self.index[v]
-            adjacent[iu].add(iv)
-            adjacent[iv].add(iu)
-        self.blocking = [tuple(h for h in range(n) if h not in adjacent[g]) for g in range(n)]
+        self.blocking = [tuple(h for h in range(n) if h not in graph.neighbours[g]) for g in range(n)]
         self.letter_adjacent = [
-            [(b >> 1) in adjacent[a >> 1] for b in range(2 * n)] for a in range(2 * n)
+            [(b >> 1) in graph.neighbours[a >> 1] for b in range(2 * n)] for a in range(2 * n)
         ]
 
-    def encode(self, w: Word) -> tuple[int, ...]:
+    def encode(self, w: Iterable) -> tuple[int, ...]:
         enc = []
-        for gen, sign in w:
-            i = self.index.get(gen)
+        for gen, sign in as_word(w):
+            i = self.positions.get(gen)
             if i is None:
                 raise UnknownGenerator(f"{gen!r} is not a generator of this group")
             enc.append(2 * i + (0 if sign > 0 else 1))
@@ -192,6 +190,9 @@ class _RaagEngine:
 
     def is_identity(self, enc: Sequence[int]) -> bool:
         return not self.cancel_fixpoint(enc)
+
+    def reduce(self, enc: Sequence[int]) -> Word:
+        return self.decode(self.lex_normal(self.cancel_fixpoint(enc)))
 
     def lex_normal(self, reduced: Sequence[int]) -> list[int]:
         """Lexicographically least shuffle of a cancellation-free word, in
@@ -287,21 +288,24 @@ def _engine(graph: Graph) -> _RaagEngine:
     return _RaagEngine(graph)
 
 
+def _inverse_codes(enc: Sequence[int]) -> tuple[int, ...]:
+    return tuple(c ^ 1 for c in reversed(enc))
+
+
 def raag_reduce(raag: Raag, w: Iterable) -> Word:
     """Cancellation-free canonical representative of the same element."""
     engine = _engine(raag.presentation)
-    enc = engine.encode(as_word(w))
-    return engine.decode(engine.lex_normal(engine.cancel_fixpoint(enc)))
+    return engine.reduce(engine.encode(w))
 
 
 def raag_is_identity(raag: Raag, w: Iterable) -> bool:
     engine = _engine(raag.presentation)
-    return engine.is_identity(engine.encode(as_word(w)))
+    return engine.is_identity(engine.encode(w))
 
 
 def raag_oracle_is_identity(raag: Raag, w: Iterable) -> bool:
     engine = _engine(raag.presentation)
-    return engine.oracle_is_identity(engine.encode(as_word(w)))
+    return engine.oracle_is_identity(engine.encode(w))
 
 
 # ---------------------------------------------------------------------------
@@ -310,19 +314,18 @@ def raag_oracle_is_identity(raag: Raag, w: Iterable) -> bool:
 @dataclass(frozen=True, eq=True)
 class FiniteGroup:
     """A validated finite group.  rows[i][j] is the index of the product of
-    the i-th and j-th elements, in storage order; index maps each label to
-    its position.  Elements are labels at the interface."""
+    the i-th and j-th elements, in storage order; elements.positions maps
+    each label to its index.  Elements are labels at the interface."""
 
     elements: FiniteSet
     rows: list[list[int]]
-    index: dict[str, int]
     identity: str
     inverse: dict[str, str]
 
     __hash__ = None  # type: ignore[assignment]
 
     def multiply(self, a: str, b: str) -> str:
-        return self.elements.labels[self.rows[self.index[a]][self.index[b]]]
+        return self.elements.labels[self.rows[self.elements.positions[a]][self.elements.positions[b]]]
 
     def invert(self, a: str) -> str:
         return self.inverse[a]
@@ -331,11 +334,11 @@ class FiniteGroup:
         return a == b
 
     def commutes(self, a: str, b: str) -> bool:
-        i, j = self.index[a], self.index[b]
+        i, j = self.elements.positions[a], self.elements.positions[b]
         return self.rows[i][j] == self.rows[j][i]
 
     def validate_element(self, value) -> str:
-        if not isinstance(value, str) or value not in self.elements:
+        if value not in self.elements:
             raise UnknownElement(f"{value!r} is not an element of this group")
         return value
 
@@ -349,70 +352,47 @@ class FiniteGroup:
 GroupHandle = Union[Raag, FiniteGroup]
 
 
-def finite_group_from_table(
-    elements: FiniteSet | Iterable[str],
-    table: Mapping[tuple[str, str], str] | Sequence[Sequence[str]],
-    identity: str | None = None,
-) -> FiniteGroup:
-    """Build and fully validate a finite group from its Cayley table.
-
-    The table may be a (a, b) -> ab mapping or a square array of rows in
-    element order.  When identity is omitted it is searched for.  Every
-    check runs on element indices: associativity by Light's test in
-    O(n^2 * |S|) for a greedy generating set S, which has at most
-    log2(n) + 1 elements when the table is a group; identity and inverses
-    in O(n^2).
+def finite_group_from_table(elements: FiniteSet, table: Sequence[Sequence[str]]) -> FiniteGroup:
+    """Build and fully validate a finite group from its Cayley table, a
+    square array of rows of labels in element order.  The table is read
+    into rows of element indices, and every check runs on those:
+    associativity by Light's test in O(n^2 * |S|) for a greedy generating
+    set S, which has at most log2(n) + 1 elements when the table is a
+    group; then the identity, which is searched for, and inverses in O(n^2).
     """
-    elements = elements if isinstance(elements, FiniteSet) else make_set(elements)
-    return _group_from_rows(elements, _index_table(elements.labels, table), identity)
+    n = len(elements)
+    square = isinstance(table, (list, tuple)) and len(table) == n
+    if not (square and all(isinstance(row, (list, tuple)) and len(row) == n for row in table)):
+        raise MalformedInput("table must be square, one array row per element")
+    labels, positions = elements.labels, elements.positions
+    rows: list[list[int]] = []
+    for a, source in zip(labels, table):
+        try:
+            rows.append([positions[value] for value in source])
+        except (KeyError, TypeError):
+            b = next(b for b, value in zip(labels, source) if value not in elements)
+            raise UnknownElement(f"table entry for ({a!r}, {b!r}) is not an element") from None
+    return _group_from_rows(elements, rows)
 
 
-def _group_from_rows(elements: FiniteSet, rows: list[list[int]], identity: str | None) -> FiniteGroup:
+def _group_from_rows(elements: FiniteSet, rows: list[list[int]]) -> FiniteGroup:
     """Validate a table of element indices and wrap it: associativity, then
-    a two-sided identity (the given one, or the first found), then inverses."""
+    the two-sided identity, which a magma has at most one of, then inverses."""
     labels = elements.labels
     _check_associative(labels, rows)
-    e = _identity_index(labels, rows, identity)
+    everything = list(range(len(rows)))
+    for e in everything:
+        if rows[e] == everything and all(row[e] == x for x, row in enumerate(rows)):
+            break
+    else:
+        raise NoIdentity("the table has no two-sided identity")
     inverse: dict[str, str] = {}
     for a, row in zip(labels, rows):
         # In a finite monoid a right inverse is two-sided and unique.
         if e not in row:
             raise NoInverse(f"{a!r} has no two-sided inverse")
         inverse[a] = labels[row.index(e)]
-    return FiniteGroup(elements, rows, {a: i for i, a in enumerate(labels)}, labels[e], inverse)
-
-
-_NO_ENTRY = object()
-
-
-def _index_table(
-    labels: tuple[str, ...],
-    table: Mapping[tuple[str, str], str] | Sequence[Sequence[str]],
-) -> list[list[int]]:
-    """The table as rows of element indices, both axes in storage order."""
-    n = len(labels)
-    if isinstance(table, Mapping):
-        grid: Iterable[Sequence] = ([table.get((a, b), _NO_ENTRY) for b in labels] for a in labels)
-    elif isinstance(table, (list, tuple)) and len(table) == n and all(
-        isinstance(row, (list, tuple)) and len(row) == n for row in table
-    ):
-        grid = table
-    else:
-        raise MalformedInput("table must be square, one array row per element")
-    index = {a: i for i, a in enumerate(labels)}
-    rows: list[list[int]] = []
-    for a, source in zip(labels, grid):
-        try:
-            rows.append([index[value] for value in source])
-        except (KeyError, TypeError):
-            for b, value in zip(labels, source):
-                if value is _NO_ENTRY:
-                    raise MalformedInput(f"table has no entry for ({a!r}, {b!r})") from None
-                try:
-                    index[value]
-                except (KeyError, TypeError):
-                    raise UnknownElement(f"table entry for ({a!r}, {b!r}) is not an element") from None
-    return rows
+    return FiniteGroup(elements, rows, labels[e], inverse)
 
 
 def _magma_generators(rows: list[list[int]]) -> list[int]:
@@ -459,20 +439,6 @@ def _check_associative(labels: tuple[str, ...], rows: list[list[int]]) -> None:
                 y = next(y for y in range(len(rows)) if left[y] != right[y])
                 a, b, c = labels[x], labels[g], labels[y]
                 raise NotAssociative(f"({a!r}*{b!r})*{c!r} != {a!r}*({b!r}*{c!r})")
-
-
-def _identity_index(labels: tuple[str, ...], rows: list[list[int]], identity: str | None) -> int:
-    identity_row = list(range(len(rows)))
-    if identity is None:
-        candidates: Iterable[int] = range(len(rows))
-    else:
-        candidates = [labels.index(identity)] if identity in labels else []
-    for e in candidates:
-        if rows[e] == identity_row and all(row[e] == x for x, row in enumerate(rows)):
-            return e
-    if identity is None:
-        raise NoIdentity("the table has no two-sided identity")
-    raise NoIdentity(f"{identity!r} is not a two-sided identity")
 
 
 def _permutation_label(perm: tuple[int, ...]) -> str:
@@ -535,7 +501,7 @@ def finite_group_from_permutations(
             row.append(right[row[px]][j])
         rows.append(row)
     elements = make_set(_permutation_label(p) for p in found)
-    return _group_from_rows(elements, rows, elements.labels[0])
+    return _group_from_rows(elements, rows)
 
 
 def trivial_group() -> FiniteGroup:
@@ -548,13 +514,13 @@ def cyclic_group(n: int) -> FiniteGroup:
         raise MalformedInput("a cyclic group needs order at least 1")
     labels = ["e"] + ["g" if k == 1 else f"g{k}" for k in range(1, n)]
     rows = [[(i + j) % n for j in range(n)] for i in range(n)]
-    return _group_from_rows(make_set(labels), rows, "e")
+    return _group_from_rows(make_set(labels), rows)
 
 
 def klein_four_group() -> FiniteGroup:
     """The direct product of two copies of the order-2 cyclic group."""
     rows = [[i ^ j for j in range(4)] for i in range(4)]
-    return _group_from_rows(make_set(["e", "a", "b", "ab"]), rows, "e")
+    return _group_from_rows(make_set(["e", "a", "b", "ab"]), rows)
 
 
 def symmetric_group_3() -> FiniteGroup:
@@ -625,10 +591,12 @@ def evaluate_word(images: Mapping[str, object], w: Iterable, h: GroupHandle):
             raise UnknownGenerator(f"no image given for generator {gen!r}")
         letters.append((images[gen], sign))
     if isinstance(h, Raag):
-        word: list[tuple[str, int]] = []
+        engine = _engine(h.presentation)
+        enc: list[int] = []
         for x, sign in letters:
-            word.extend(as_word(x) if sign > 0 else word_inverse(as_word(x)))
-        return raag_reduce(h, word)
+            codes = engine.encode(x)
+            enc.extend(codes if sign > 0 else _inverse_codes(codes))
+        return engine.reduce(enc)
     acc = h.identity
     for x, sign in letters:
         acc = h.multiply(acc, x if sign > 0 else h.invert(x))
@@ -690,21 +658,16 @@ def _raag_hom_images(raag: Raag, h: FiniteGroup) -> list[tuple[int, ...]]:
     order.  A generator's candidates are the elements commuting with the
     image of its first earlier neighbour, read from h's multiplication rows,
     kept if they commute with the other earlier neighbours' images."""
-    gens = raag.generators.labels
-    pos = {v: i for i, v in enumerate(gens)}
-    earlier: list[list[int]] = [[] for _ in gens]
-    for u, v in raag.presentation.edges:
-        i, j = sorted((pos[u], pos[v]))
-        earlier[j].append(i)
+    earlier = [sorted(i for i in adj if i < j) for j, adj in enumerate(raag.presentation.neighbours)]
     commuting = _commuting(h)
     commuting_sets = [set(row) for row in commuting]
     everything = list(range(len(commuting)))
 
     out: list[tuple[int, ...]] = []
-    chosen = [0] * len(gens)
+    chosen = [0] * len(earlier)
 
     def extend(i: int) -> None:
-        if i == len(gens):
+        if i == len(chosen):
             out.append(tuple(chosen))
             return
         if not earlier[i]:
@@ -745,7 +708,7 @@ def enumerate_homs_finite_to_finite(dom: FiniteGroup, cod: FiniteGroup) -> list[
     f(x)*f(g), and agreement on all of them makes f a homomorphism.
     O(|cod|^|S| * |dom| * |S|)."""
     rows, cod_rows = dom.rows, cod.rows
-    e, cod_e = dom.index[dom.identity], cod.index[cod.identity]
+    e, cod_e = dom.elements.positions[dom.identity], cod.elements.positions[cod.identity]
     gens = [g for g in _magma_generators(rows) if g != e]
     labels, cod_labels = dom.elements.labels, cod.elements.labels
     out: list[GroupHom] = []

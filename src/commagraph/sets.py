@@ -8,6 +8,7 @@ deterministic.  All values are immutable; operations return new values.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping
 
 from .errors import DomainMismatch, DuplicateLabel, MalformedInput, NotInCodomain, NotTotal
@@ -17,6 +18,11 @@ from .errors import DomainMismatch, DuplicateLabel, MalformedInput, NotInCodomai
 class FiniteSet:
     labels: tuple[str, ...]
 
+    @cached_property
+    def positions(self) -> dict[str, int]:
+        """Each label's storage index, built once per set."""
+        return {label: i for i, label in enumerate(self.labels)}
+
     def __iter__(self) -> Iterator[str]:
         return iter(self.labels)
 
@@ -24,10 +30,7 @@ class FiniteSet:
         return len(self.labels)
 
     def __contains__(self, label: object) -> bool:
-        return label in self.labels
-
-    def index(self, label: str) -> int:
-        return self.labels.index(label)
+        return isinstance(label, str) and label in self.positions
 
 
 @dataclass(frozen=True, eq=True)
@@ -56,7 +59,7 @@ def make_set(labels: Iterable[str]) -> FiniteSet:
 
 
 def make_map(dom: FiniteSet, cod: FiniteSet, assignment: Mapping[str, str]) -> SetMap:
-    extra = set(assignment) - set(dom.labels)
+    extra = set(assignment) - dom.positions.keys()
     if extra:
         raise NotTotal(f"assignment mentions labels outside the domain: {sorted(extra)}")
     mapping: dict[str, str] = {}

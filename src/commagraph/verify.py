@@ -187,18 +187,22 @@ def _couniversal(pool: list[comma.CommaObject], max_vertices: int) -> Cases:
     for w in pool:
         core = comma.coreflect(w)
         for g in graphs_up_to(max_vertices):
-            composites = [
-                (h, comma.compose_comma(comma.embed_graph_hom(h), core.counit))
-                for h in enumerate_graph_homs(g, core.graph)
-            ]
+            # CommaMorphism equality compares set maps first, so only the
+            # composites sharing m's set map can equal it
+            composites: dict[frozenset, list] = {}
+            for h in enumerate_graph_homs(g, core.graph):
+                composite = comma.compose_comma(comma.embed_graph_hom(h), core.counit)
+                key = frozenset(composite.f_set.mapping.items())
+                composites.setdefault(key, []).append((h, composite))
             for m in comma.enumerate_morphisms_from_embedded_graph(g, w):
-                factors = [h for h, composite in composites if composite == m]
+                same_map = composites.get(frozenset(m.f_set.mapping.items()), ())
+                factors = [h for h, composite in same_map if composite == m]
                 witness = None
                 if len(factors) != 1:
                     witness = len(factors)
                 else:
                     try:
-                        found = comma.factor_through_coreflection(g, m)
+                        found = comma.factor_through_coreflection(core, g, m)
                     except NotFactorable:
                         witness = "factor_through_coreflection failed"
                     else:

@@ -108,7 +108,7 @@ def test_criterion_7_word_problem_differential():
         )
     )
     ok = report.passed and elapsed < 120
-    _report(7, "word-problem engine against the shuffle oracle", ok, elapsed, 120)
+    _report(7, "word-problem engine against the rewriting and Tits oracles", ok, elapsed, 120)
     assert report.passed, report.counterexample
     # the exhaustive phase alone covers every word of length <= 6 over every
     # labeled graph on 0..3 vertices, plus the 10000 random words

@@ -299,9 +299,9 @@ def test_factor_single_vertex_example():
     g = discrete(make_set(["v"]))
     w = s3_witness()
     for m in enumerate_morphisms_from_embedded_graph(g, w):
-        f = factor_through_coreflection(g, m)
-        assert f.vmap.mapping == m.f_set.mapping
         core = coreflect(w)
+        f = factor_through_coreflection(core, g, m)
+        assert f.vmap.mapping == m.f_set.mapping
         assert compose_comma(embed_graph_hom(f), core.counit) == m
         # uniqueness: no other graph hom composes to m
         others = [
@@ -315,22 +315,31 @@ def test_factor_single_vertex_example():
 def test_counit_factors_through_itself():
     w = s3_witness()
     core = coreflect(w)
-    f = factor_through_coreflection(core.graph, core.counit)
+    f = factor_through_coreflection(core, core.graph, core.counit)
     assert f.vmap.mapping == {"x": "x", "y": "y"}
 
 
 def test_factor_exists_for_abelian_targets():
     w = abelian_witness()
+    core = coreflect(w)
     for m in enumerate_morphisms_from_embedded_graph(edge_graph(), w):
-        f = factor_through_coreflection(edge_graph(), m)
-        assert is_comma_morphism(compose_comma(embed_graph_hom(f), coreflect(w).counit))
+        f = factor_through_coreflection(core, edge_graph(), m)
+        assert is_comma_morphism(compose_comma(embed_graph_hom(f), core.counit))
 
 
 def test_factor_rejects_wrong_source():
     w = s3_witness()
     m = identity_comma(w)
     with pytest.raises(ObjectMismatch):
-        factor_through_coreflection(edge_graph(), m)
+        factor_through_coreflection(coreflect(w), edge_graph(), m)
+
+
+def test_factor_rejects_coreflection_of_another_object():
+    g = discrete(make_set(["v"]))
+    other = coreflect(abelian_witness())
+    for m in enumerate_morphisms_from_embedded_graph(g, s3_witness()):
+        with pytest.raises(ObjectMismatch):
+            factor_through_coreflection(other, g, m)
 
 
 # ---------------------------------------------------------------------------

@@ -66,6 +66,15 @@ def test_make_graph_invariants(g):
     assert len(set(g.edges)) == len(g.edges)
 
 
+def test_has_edge_and_neighbours_agree_with_edges():
+    for g in graphs_up_to(4):
+        for u, v in product(g.vertices.labels, repeat=2):
+            assert g.has_edge(u, v) == ((u, v) in g.edges or (v, u) in g.edges)
+        for i, adjacent in enumerate(g.neighbours):
+            assert i not in adjacent
+            assert all(i in g.neighbours[j] for j in adjacent)
+
+
 def test_hom_collapse_is_allowed():
     cd = edge_graph("c", "d")
     f = make_map(edge_graph().vertices, cd.vertices, {"a": "c", "b": "c"})

@@ -56,11 +56,15 @@ from commagraph.groups import (
     group_to_json,
     identity_group_hom,
     word_from_tokens,
-    word_inverse,
 )
 from commagraph.verify import graphs_up_to
 
 from .strategies import graph_with_word, graph_with_words, graphs
+
+
+def word_inverse(w):
+    return tuple((gen, -sign) for gen, sign in reversed(w))
+
 
 A, B = ("a", 1), ("b", 1)
 iA, iB = ("a", -1), ("b", -1)
@@ -141,6 +145,28 @@ def test_unknown_generator_rejected():
         raag_reduce(edge_raag(), [("z", 1)])
     with pytest.raises(UnknownGenerator):
         raag_is_identity(edge_raag(), [("z", 1)])
+
+
+def test_bad_letters_rejected_by_every_word_entry():
+    # each entry checks its words once, where they are encoded; a malformed
+    # letter anywhere wins over an unknown generator
+    raag = edge_raag()
+    entries = (
+        lambda w: raag_reduce(raag, w),
+        lambda w: raag_is_identity(raag, w),
+        lambda w: raag_oracle_is_identity(raag, w),
+        lambda w: raag.commutes(w, [A]),
+        lambda w: raag.commutes([A], w),
+        lambda w: raag.equal(w, [A]),
+        lambda w: raag.equal([A], w),
+        lambda w: evaluate_word({"a": w}, [iA], raag),
+    )
+    for entry in entries:
+        for bad in ([A, ("a", 2)], [A, ("a",)], [A, "a"], [("z", 1), ("a", 2)]):
+            with pytest.raises(MalformedInput):
+                entry(bad)
+        with pytest.raises(UnknownGenerator):
+            entry([A, ("z", 1)])
 
 
 def test_path_commutator_of_endpoints_is_not_identity():
@@ -436,44 +462,42 @@ def test_trivial_group():
 
 
 def test_from_table_rejects_non_associative():
-    labels = ["e", "a", "b"]
-    table = {
-        ("e", "e"): "e", ("e", "a"): "a", ("e", "b"): "b",
-        ("a", "e"): "a", ("a", "a"): "e", ("a", "b"): "a",
-        ("b", "e"): "b", ("b", "a"): "a", ("b", "b"): "b",
-    }
+    table = [
+        ["e", "a", "b"],
+        ["a", "e", "a"],
+        ["b", "a", "b"],
+    ]
     with pytest.raises(NotAssociative):
-        finite_group_from_table(make_set(labels), table)
+        finite_group_from_table(make_set(["e", "a", "b"]), table)
 
 
 def test_from_table_rejects_missing_identity():
-    table = {("a", "a"): "a", ("a", "b"): "a", ("b", "a"): "a", ("b", "b"): "a"}
+    table = [["a", "a"], ["a", "a"]]
     with pytest.raises(NoIdentity):
         finite_group_from_table(make_set(["a", "b"]), table)
 
 
 def test_from_table_rejects_missing_inverse():
     # two-element monoid that is not a group
-    table = {("e", "e"): "e", ("e", "g"): "g", ("g", "e"): "g", ("g", "g"): "g"}
+    table = [["e", "g"], ["g", "g"]]
     with pytest.raises(NoInverse):
         finite_group_from_table(make_set(["e", "g"]), table)
 
 
-def test_from_table_rejects_wrong_identity():
-    c2 = cyclic_group(2)
-    table = {(a, b): c2.multiply(a, b) for a, b in product(c2.elements, repeat=2)}
-    with pytest.raises(NoIdentity):
-        finite_group_from_table(c2.elements, table, identity="g")
-
-
 def test_from_table_accepts_rows():
-    g = finite_group_from_table(["e", "g"], [["e", "g"], ["g", "e"]])
+    g = finite_group_from_table(make_set(["e", "g"]), [["e", "g"], ["g", "e"]])
     assert g.identity == "e"
+
+
+def test_from_table_finds_identity_stored_last():
+    g = _cyclic_3_identity_last()
+    assert g.identity == "e" and g.elements.labels[-1] == "e"
+    assert g.inverse == {"g": "g2", "g2": "g", "e": "e"}
 
 
 def test_from_table_rejects_unknown_entry():
     with pytest.raises(UnknownElement):
-        finite_group_from_table(["e"], [["x"]])
+        finite_group_from_table(make_set(["e"]), [["x"]])
 
 
 def test_permutation_closure_s3():
@@ -536,8 +560,9 @@ def _brute_force_verdict(labels, table):
 
 def _assert_construction_matches_brute_force(labels, table):
     verdict = _brute_force_verdict(labels, table)
+    rows = [[table[(a, b)] for b in labels] for a in labels]
     try:
-        h = finite_group_from_table(labels, table)
+        h = finite_group_from_table(make_set(labels), rows)
     except (NotAssociative, NoIdentity, NoInverse) as exc:
         assert type(exc) is verdict
         if verdict is NotAssociative:
@@ -870,7 +895,7 @@ def test_enumerate_homs_matches_product_order():
 def _cyclic_3_identity_last():
     labels = ["g", "g2", "e"]  # g^k stored at (k - 1) % 3
     return finite_group_from_table(
-        labels, [[labels[(i + j + 1) % 3] for j in range(3)] for i in range(3)], "e"
+        make_set(labels), [[labels[(i + j + 1) % 3] for j in range(3)] for i in range(3)]
     )
 
 

@@ -21,6 +21,13 @@ def test_make_set_keeps_order():
     assert "a" in s and "z" not in s
 
 
+def test_positions_index_labels_and_membership_refuses_non_labels():
+    s = make_set(["b", "a", "c"])
+    assert all(s.positions[x] == s.labels.index(x) for x in s.labels)
+    for probe in (1, None, ["a"]):
+        assert probe not in s
+
+
 def test_make_set_empty():
     assert len(make_set([])) == 0
 

@@ -416,10 +416,10 @@ def test_couniversal_mutation_is_caught(monkeypatch):
 
     real = comma.factor_through_coreflection
 
-    def refuses_edges(g, m):
+    def refuses_edges(core, g, m):
         if g.edges:
             raise NotFactorable("refused")
-        return real(g, m)
+        return real(core, g, m)
 
     monkeypatch.setattr(comma, "factor_through_coreflection", refuses_edges)
     report = verify.run_suite("couniversal", max_vertices=3)
