@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from . import verify
@@ -41,6 +42,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+class _ReadsNoGroup(argparse.Action):
+    """Refuses an option of the group reader on a subcommand that reads no
+    group; unregistered, the option's value would be taken for an input file."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        raise UsageError(f"{option_string} does not apply to {parser.prog}: it reads no group")
+
+
 def _load_json(path: str):
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
@@ -50,8 +59,30 @@ def _load_json(path: str):
         raise MalformedInput("the JSON nests too deeply to read") from None
 
 
+def _layout(value, pad: str = "\n") -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, for values whose keys
+    are all strings.  CPython runs its C encoder only when ``indent`` is
+    None; with an indent every value goes through the generator-based
+    encoder in ``json/encoder.py``, which yields one chunk per token and
+    took most of the time of a large ``homs`` result.  Here each container
+    is one join of its items, each string one call of the C quoting
+    function, and every other scalar is left to ``json.dumps``."""
+    if isinstance(value, dict) and value:
+        inner = pad + "  "
+        items = [
+            _quote(k) + ": " + (_quote(v) if isinstance(v, str) else _layout(v, inner))
+            for k, v in value.items()
+        ]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(value, (list, tuple)) and value:
+        inner = pad + "  "
+        items = [_quote(v) if isinstance(v, str) else _layout(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    return json.dumps(value)
+
+
 def _emit(data, args) -> None:
-    text = json.dumps(data, indent=2) + "\n"
+    text = _layout(data) + "\n"
     if args.output:
         Path(args.output).write_text(text)
     else:
@@ -108,7 +139,7 @@ def _cmd_homs(args) -> int:
             "count": len(homs),
             "dom": graph_to_json(g),
             "cod": graph_to_json(h),
-            "homs": [{v: f.vmap.mapping[v] for v in g.vertices} for f in homs],
+            "homs": [f.vmap.mapping for f in homs],  # keyed in g.vertices order
         }
     else:
         h = group_from_json(other, closure_cap=args.closure_cap)
@@ -119,7 +150,7 @@ def _cmd_homs(args) -> int:
             "count": len(homs),
             "dom": graph_to_json(g),
             "group": group_to_json(h),
-            "homs": [{v: f.images[v] for v in g.vertices} for f in homs],
+            "homs": [f.images for f in homs],  # keyed in g.vertices order
         }
     _note(f"{payload['count']} homomorphisms")
     _emit(payload, args)
@@ -152,6 +183,8 @@ def build_parser() -> argparse.ArgumentParser:
                 default=CLOSURE_DEFAULT_CAP,
                 help="largest permutation closure the group reader will compute",
             )
+        else:
+            p.add_argument("--closure-cap", action=_ReadsNoGroup, help=argparse.SUPPRESS)
 
     p = sub.add_parser("gamma", help="embed a graph as a comma object over its presented group")
     p.add_argument("graph", help="graph JSON file")

@@ -263,7 +263,10 @@ def _word_differential(
     graph's identity words of every length are built once, and each word's
     verdict is a set lookup.  The random phase, whose graphs and lengths
     would make those sets far too large, tests each word in the Tits
-    representation of a right-angled Coxeter group, linear in its length."""
+    representation of a right-angled Coxeter group, linear in its length.
+    Its graphs are drawn one edge at a time, and each distinct one, of at
+    most 2^C(n,2) on n labels, is built once per call: a table keyed by the
+    vertex count and the bitmask of drawn edges holds it with its engine."""
 
     def verdict(engine, graph: Graph, codes: tuple[int, ...], oracle: bool) -> dict | None:
         fast = engine.is_identity(codes)
@@ -282,12 +285,16 @@ def _word_differential(
 
     labels = _LABELS[:random_max_vertices]
     pairs = [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:]]
+    inside = [[k for k, (_, b) in enumerate(pairs) if b in labels[:n]] for n in range(len(labels) + 1)]
+    graphs = {}  # (n, edge bitmask) -> (graph, engine)
     for _ in range(random_words):
         n = rng.randint(1, random_max_vertices)
-        vertices = make_set(_LABELS[:n])
-        g = make_graph(vertices, [p for p in pairs if p[1] in vertices and rng.random() < 0.5])
+        mask = sum(1 << k for k in inside[n] if rng.random() < 0.5)
+        if (n, mask) not in graphs:
+            g = make_graph(make_set(labels[:n]), [pairs[k] for k in inside[n] if mask >> k & 1])
+            graphs[n, mask] = g, _engine(g)
+        g, engine = graphs[n, mask]
         length = rng.randint(0, random_max_len)
-        engine = _engine(g)
         codes = tuple(rng.randrange(2 * n) for _ in range(length))
         yield verdict(engine, g, codes, engine.oracle_is_identity(codes))
 

@@ -1,8 +1,10 @@
 import json
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from commagraph.cli import main
+from commagraph.cli import _layout, main
 from commagraph.comma import comma_object_from_json, comma_object_to_json
 from commagraph.graphs import graph_from_json
 
@@ -162,6 +164,7 @@ def test_closure_cap_is_refused_where_no_group_is_read(write, capsys, command):
     code, out, err = run(capsys, command, "--closure-cap", "3", target)
     assert code == 3 and out == ""
     assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert "--closure-cap" in err and command in err and target not in err
 
 
 def test_closure_cap_reaches_the_group_reader(write, capsys):
@@ -189,6 +192,15 @@ def test_homs_graph_to_group(write, capsys):
     code, out, _ = run(capsys, "homs", write("edge.json", EDGE), write("s3.json", S3))
     assert code == 0
     assert json.loads(out)["count"] == 18
+
+
+@pytest.mark.parametrize("target", [S3, {"vertices": ["z", "y"], "edges": [["z", "y"]]}])
+def test_homs_are_keyed_in_domain_vertex_order(write, capsys, target):
+    dom = {"vertices": ["c", "a", "b"], "edges": [["c", "a"], ["a", "b"]]}
+    code, out, _ = run(capsys, "homs", write("dom.json", dom), write("target.json", target))
+    assert code == 0
+    homs = json.loads(out)["homs"]
+    assert homs and all(list(f) == dom["vertices"] for f in homs)
 
 
 def test_homs_into_single_vertex(write, capsys):
@@ -317,3 +329,48 @@ def test_check_word_differential_cli_small(capsys):
     # at the default length of 6 the suite would check 21,050 cases
     assert report["cases_checked"] == 186 + 10000
     assert "length <= 3" in report["scope"]
+
+
+_STRINGS = st.text(st.one_of(st.sampled_from('"\\/\n\t\x00\x1f\x7fé☃𝄞'), st.characters()))
+_SCALARS = st.none() | st.booleans() | st.integers() | st.integers(min_value=2**64) | st.floats() | _STRINGS
+_JSON_VALUES = st.recursive(
+    _SCALARS,
+    lambda kids: st.lists(kids) | st.lists(kids).map(tuple) | st.dictionaries(_STRINGS, kids),
+    max_leaves=40,
+)
+
+
+@given(_JSON_VALUES)
+@example([[], {}, [[]], {"": {}}, ([],), float("nan"), float("-inf"), 2**100, -0.0])
+def test_layout_matches_the_stdlib_indent_encoder(value):
+    assert _layout(value) == json.dumps(value, indent=2)
+
+
+LAYOUT_CALLS = {
+    "gamma": lambda w: ["gamma", w("edge.json", EDGE)],
+    "coreflect": lambda w: [
+        "coreflect", w("obj.json", {"gens": ["x", "y"], "target": S3, "images": {"x": "213", "y": "132"}}),
+    ],
+    "raag-reduce": lambda w: ["raag-reduce", w("disc.json", DISCRETE2), "a", "b", "-a"],
+    "commutation-graph": lambda w: ["commutation-graph", w("s3.json", S3)],
+    "homs-graph": lambda w: ["homs", w("edge.json", EDGE), w("other.json", DISCRETE2)],
+    "homs-group": lambda w: ["homs", w("edge.json", EDGE), w("c2.json", C2)],
+    "check-failing": lambda w: ["check", "word-differential", "dvi"],
+}
+
+
+@pytest.mark.parametrize("call", LAYOUT_CALLS)
+def test_stdout_is_indent_2_json_with_a_newline(write, capsys, monkeypatch, call):
+    from commagraph import verify
+
+    failed = verify.CheckReport(
+        "word-differential",
+        "forced",
+        False,
+        {"presentation": EDGE, "word": ["a", "-b", "é"], "fast": True, "oracle": False, "notes": [[], {}]},
+        7,
+    )
+    monkeypatch.setattr(verify, "run_suite", lambda name, **kw: failed)
+    code, out, _ = run(capsys, *LAYOUT_CALLS[call](write))
+    assert code == (1 if call == "check-failing" else 0)
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
