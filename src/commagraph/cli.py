@@ -50,6 +50,17 @@ class _ReadsNoGroup(argparse.Action):
         raise UsageError(f"{option_string} does not apply to {parser.prog}: it reads no group")
 
 
+def _closure_cap(text: str) -> int:
+    """A --closure-cap value: an int of at least 1, as every group has an element."""
+    try:
+        cap = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if cap < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {cap}")
+    return cap
+
+
 def _load_json(path: str):
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
@@ -179,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
         if reads_groups:
             p.add_argument(
                 "--closure-cap",
-                type=int,
+                type=_closure_cap,
                 default=CLOSURE_DEFAULT_CAP,
                 help="largest permutation closure the group reader will compute",
             )
@@ -226,10 +237,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()  # parse_args keeps no state, so one parser serves every call
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -3,7 +3,8 @@
 Elements of free groups and RAAGs are words, i.e. sequences of signed
 generators, whose letters are checked once, where the engine encodes them.
 Equality of RAAG elements is decided by a one-pass cancellation engine,
-O(n*k) for n letters over k generators (Wrathall 1988), and double-checked
+O(n*k) for n letters over k generators (Wrathall 1988), which each
+presented group builds once and holds (Raag.engine), and double-checked
 elsewhere by two oracles that use none of it.  A rewriting (swaps of
 adjacent commuting letters, free cancellations) builds every identity word
 of each length once, inserting an inverse pair into the shorter ones and
@@ -31,7 +32,7 @@ elements joined iff they commute).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 from itertools import product
 from typing import Iterable, Mapping, Sequence, Union
@@ -54,7 +55,6 @@ from .sets import FiniteSet, finite_set_from_json, make_set
 Word = tuple[tuple[str, int], ...]
 
 CLOSURE_DEFAULT_CAP = 1000  # elements; the table then has at most 10^6 entries
-ENGINE_CACHE_SIZE = 128  # above the 76 graphs on <= 4 vertices of word-differential
 
 
 # ---------------------------------------------------------------------------
@@ -106,20 +106,24 @@ class Raag:
     def generators(self) -> FiniteSet:
         return self.presentation.vertices
 
+    @cached_property
+    def engine(self) -> _RaagEngine:
+        """The word machinery of the presentation, built once."""
+        return _RaagEngine(self.presentation)
+
     def equal(self, a: Word, b: Word) -> bool:
         if a == b:
             return True
-        engine = _engine(self.presentation)
+        engine = self.engine
         return engine.is_identity(engine.encode(a) + _inverse_codes(engine.encode(b)))
 
     def commutes(self, a: Word, b: Word) -> bool:
-        engine = _engine(self.presentation)
+        engine = self.engine
         u, v = engine.encode(a), engine.encode(b)
         return engine.is_identity(u + v + _inverse_codes(u) + _inverse_codes(v))
 
     def validate_element(self, value) -> Word:
-        engine = _engine(self.presentation)
-        return engine.decode(engine.encode(value))
+        return self.engine.decode(self.engine.encode(value))
 
     def element_to_json(self, value: Word) -> list[str]:
         return word_to_tokens(value)
@@ -131,7 +135,8 @@ class Raag:
 
 
 class _RaagEngine:
-    """Word machinery for one presentation graph, on integer letter codes.
+    """Word machinery for one presentation graph, on integer letter codes,
+    built once per Raag (Raag.engine).
 
     Generator i gets codes 2i (positive) and 2i+1 (inverse), so the inverse
     of a code is code^1 and its generator is code>>1.  blocking[i] holds i
@@ -283,29 +288,21 @@ class _RaagEngine:
         return words
 
 
-@lru_cache(maxsize=ENGINE_CACHE_SIZE)
-def _engine(graph: Graph) -> _RaagEngine:
-    return _RaagEngine(graph)
-
-
 def _inverse_codes(enc: Sequence[int]) -> tuple[int, ...]:
     return tuple(c ^ 1 for c in reversed(enc))
 
 
 def raag_reduce(raag: Raag, w: Iterable) -> Word:
     """Cancellation-free canonical representative of the same element."""
-    engine = _engine(raag.presentation)
-    return engine.reduce(engine.encode(w))
+    return raag.engine.reduce(raag.engine.encode(w))
 
 
 def raag_is_identity(raag: Raag, w: Iterable) -> bool:
-    engine = _engine(raag.presentation)
-    return engine.is_identity(engine.encode(w))
+    return raag.engine.is_identity(raag.engine.encode(w))
 
 
 def raag_oracle_is_identity(raag: Raag, w: Iterable) -> bool:
-    engine = _engine(raag.presentation)
-    return engine.oracle_is_identity(engine.encode(w))
+    return raag.engine.oracle_is_identity(raag.engine.encode(w))
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +588,7 @@ def evaluate_word(images: Mapping[str, object], w: Iterable, h: GroupHandle):
             raise UnknownGenerator(f"no image given for generator {gen!r}")
         letters.append((images[gen], sign))
     if isinstance(h, Raag):
-        engine = _engine(h.presentation)
+        engine = h.engine
         enc: list[int] = []
         for x, sign in letters:
             codes = engine.encode(x)

@@ -26,10 +26,10 @@ from typing import Callable, Iterator
 from . import comma
 from .errors import NotFactorable, UnknownSuite, UsageError
 from .graphs import (
-    Graph, _graph_hom_images, discrete, enumerate_graph_homs, graph_to_json, indiscrete, make_graph,
+    _graph_hom_images, discrete, enumerate_graph_homs, graph_to_json, indiscrete, make_graph,
 )
 from .groups import (
-    FiniteGroup, Raag, _engine, _raag_hom_images, commutation_graph,
+    FiniteGroup, Raag, _raag_hom_images, commutation_graph,
     cyclic_group, enumerate_homs_finite_to_finite, group_to_json, klein_four_group, symmetric_group_3,
     trivial_group, word_to_tokens,
 )
@@ -266,37 +266,38 @@ def _word_differential(
     representation of a right-angled Coxeter group, linear in its length.
     Its graphs are drawn one edge at a time, and each distinct one, of at
     most 2^C(n,2) on n labels, is built once per call: a table keyed by the
-    vertex count and the bitmask of drawn edges holds it with its engine."""
+    vertex count and the bitmask of drawn edges holds its Raag, which owns the engine."""
 
-    def verdict(engine, graph: Graph, codes: tuple[int, ...], oracle: bool) -> dict | None:
-        fast = engine.is_identity(codes)
+    def verdict(raag: Raag, codes: tuple[int, ...], oracle: bool) -> dict | None:
+        fast = raag.engine.is_identity(codes)
         if fast == oracle:
             return None
-        word = word_to_tokens(engine.decode(codes))
-        return {"presentation": graph_to_json(graph), "word": word, "fast": fast, "oracle": oracle}
+        presentation = graph_to_json(raag.presentation)
+        word = word_to_tokens(raag.engine.decode(codes))
+        return {"presentation": presentation, "word": word, "fast": fast, "oracle": oracle}
 
     for g in graphs_up_to(max_vertices):
-        engine = _engine(g)
-        trivial = engine.oracle_identity_words(max_len)
+        raag = Raag(g)
+        trivial = raag.engine.oracle_identity_words(max_len)
         letters = range(2 * len(g.vertices))
         for length in range(max_len + 1):
             for codes in product(letters, repeat=length):
-                yield verdict(engine, g, codes, codes in trivial[length])
+                yield verdict(raag, codes, codes in trivial[length])
 
     labels = _LABELS[:random_max_vertices]
     pairs = [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:]]
     inside = [[k for k, (_, b) in enumerate(pairs) if b in labels[:n]] for n in range(len(labels) + 1)]
-    graphs = {}  # (n, edge bitmask) -> (graph, engine)
+    raags = {}  # (n, edge bitmask) -> the group that graph presents
     for _ in range(random_words):
         n = rng.randint(1, random_max_vertices)
         mask = sum(1 << k for k in inside[n] if rng.random() < 0.5)
-        if (n, mask) not in graphs:
-            g = make_graph(make_set(labels[:n]), [pairs[k] for k in inside[n] if mask >> k & 1])
-            graphs[n, mask] = g, _engine(g)
-        g, engine = graphs[n, mask]
+        if (n, mask) not in raags:
+            edges = [pairs[k] for k in inside[n] if mask >> k & 1]
+            raags[n, mask] = Raag(make_graph(make_set(labels[:n]), edges))
+        raag = raags[n, mask]
         length = rng.randint(0, random_max_len)
         codes = tuple(rng.randrange(2 * n) for _ in range(length))
-        yield verdict(engine, g, codes, engine.oracle_is_identity(codes))
+        yield verdict(raag, codes, raag.engine.oracle_is_identity(codes))
 
 
 def _exhaustive_words(max_vertices: int, max_len: int, **_) -> int:

@@ -1,6 +1,8 @@
-"""The public API carries no function whose only caller is its own test."""
+"""The public API carries no function whose only caller is its own test,
+and every name the benchmark's tracer wraps still exists."""
 
 import ast
+import importlib
 import inspect
 from pathlib import Path
 
@@ -12,11 +14,11 @@ PACKAGE = ROOT / "src" / "commagraph"
 # Exported functions that nothing in src/ or scripts/ calls, each with why.
 WITHOUT_CALLER = {
     "raag_oracle_is_identity": "the Tits oracle on one word; the engine's long-word tests compare against it",
-    "identity_hom": "graph functor law; waits for the functor suite (ROADMAP item 4)",
-    "compose_homs": "graph functor law; waits for the functor suite (ROADMAP item 4)",
-    "make_graph_hom": "graph functor law; waits for the functor suite (ROADMAP item 4)",
-    "identity_comma": "comma functor law; waits for the functor suite (ROADMAP item 4)",
-    "commutation_counit": "group-side counit; waits for the functor suite (ROADMAP item 4)",
+    "identity_hom": "graph functor law; waits for the functor suite (ROADMAP item 5)",
+    "compose_homs": "graph functor law; waits for the functor suite (ROADMAP item 5)",
+    "make_graph_hom": "graph functor law; waits for the functor suite (ROADMAP item 5)",
+    "identity_comma": "comma functor law; waits for the functor suite (ROADMAP item 5)",
+    "commutation_counit": "group-side counit; waits for the functor suite (ROADMAP item 5)",
 }
 
 
@@ -47,3 +49,16 @@ def test_every_exported_function_has_a_caller():
         f"exported without a caller: {sorted(uncalled - set(WITHOUT_CALLER))}; "
         f"allow-listed but now called: {sorted(set(WITHOUT_CALLER) - uncalled)}"
     )
+
+
+def test_every_traced_name_resolves(monkeypatch):
+    """The benchmark's tracer wraps each target by name and skips a missing
+    one, so a rename would read as zero time in that layer."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    tracing = importlib.import_module("tracing")
+    missing = []
+    for _, module_name, attribute, _, _ in tracing.TARGETS:
+        owner, name = tracing._resolve(module_name, attribute)
+        if getattr(owner, name, None) is None:
+            missing.append(f"{module_name}.{attribute}")
+    assert missing == []

@@ -180,6 +180,48 @@ def test_default_closure_cap_refuses_s7(write, capsys):
     assert err.startswith("error: OrderCapExceeded") and err.count("\n") == 1
 
 
+TRIVIAL_PERM = {"type": "perm", "degree": 2, "generators": []}
+CAP_CALLS = {
+    "coreflect": lambda w: [w("obj.json", {"gens": [], "target": TRIVIAL_PERM, "images": {}})],
+    "commutation-graph": lambda w: [w("trivial.json", TRIVIAL_PERM)],
+    "homs": lambda w: [w("edge.json", EDGE), w("trivial.json", TRIVIAL_PERM)],
+}
+
+
+@pytest.mark.parametrize("cap", ["0", "-5"])
+@pytest.mark.parametrize("command", CAP_CALLS)
+def test_closure_cap_below_one_is_a_usage_error(write, capsys, command, cap):
+    # every group has an element, so no cap below 1 can be met
+    code, out, err = run(capsys, command, "--closure-cap", cap, *CAP_CALLS[command](write))
+    assert code == 3 and out == ""
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert "--closure-cap" in err and cap in err
+
+
+def test_closure_cap_of_one_admits_the_trivial_group(write, capsys):
+    code, out, _ = run(capsys, "commutation-graph", "--closure-cap", "1", write("trivial.json", TRIVIAL_PERM))
+    assert code == 0 and json.loads(out)["vertices"] == ["12"]
+
+
+def test_one_parser_serves_every_call(write, capsys, tmp_path):
+    edge, s3, saved = write("edge.json", EDGE), write("s3.json", S3), str(tmp_path / "saved.json")
+    calls = [
+        ["gamma"],
+        ["gamma", "--closure-cap", "3", edge],
+        ["commutation-graph", "--closure-cap", "0", s3],
+        ["gamma", "--output", saved, edge],
+        ["gamma", edge],
+        ["check", "dvi", "--max-vertices", "2", "--seed", "4"],
+        ["check", "dvi", "--max-vertices", "1"],
+    ]
+    rounds = [[run(capsys, *argv) for argv in calls] for _ in range(2)]
+    assert rounds[0] == rounds[1]
+    assert [code for code, _, _ in rounds[0]] == [3, 3, 3, 0, 0, 0, 0]
+    # no flag of an earlier call carries over to a later one
+    assert rounds[0][3][1] == "" and rounds[0][4][1]
+    assert "0..2 vertices" in rounds[0][5][1] and "0..1 vertices" in rounds[0][6][1]
+
+
 def test_homs_graph_to_graph(write, capsys):
     other = {"vertices": ["c", "d"], "edges": [["c", "d"]]}
     code, out, _ = run(capsys, "homs", write("edge.json", EDGE), write("other.json", other))

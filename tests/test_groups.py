@@ -48,7 +48,6 @@ from commagraph.graphs import _graph_hom_images
 from commagraph.groups import (
     GroupHom,
     Raag,
-    _engine,
     _raag_hom_images,
     apply_hom,
     compose_group_homs,
@@ -197,7 +196,7 @@ def test_oracle_identity_words_agree_with_tits_oracle():
     # over graphs with <= 3 vertices, and of length <= 8 over <= 2 vertices
     for max_vertices, max_len in ((3, 5), (2, 8)):
         for g in graphs_up_to(max_vertices):
-            engine = _engine(g)
+            engine = Raag(g).engine
             trivial = engine.oracle_identity_words(max_len)
             assert len(trivial) == max_len + 1 and trivial[0] == {()}
             letters = range(2 * len(g.vertices))
@@ -205,6 +204,18 @@ def test_oracle_identity_words_agree_with_tits_oracle():
                 for codes in product(letters, repeat=length):
                     in_set = codes in trivial[length]
                     assert in_set == engine.oracle_is_identity(codes), (g, codes)
+
+
+def test_engine_belongs_to_its_raag_and_changes_no_equality():
+    r = edge_raag()
+    engine = r.engine
+    assert r.engine is engine and Raag(r.presentation).engine is not engine
+    assert Raag(r.presentation) == r and hash(Raag(r.presentation)) == hash(r)
+    # equal images as elements, different as words: only an engine can tell
+    f = GroupHom(discrete_raag(), r, {"a": (A, B, iA), "b": (A,)})
+    g = GroupHom(discrete_raag(), edge_raag(), {"a": (B,), "b": (A,)})
+    assert f == g and g == f
+    assert f != GroupHom(discrete_raag(), edge_raag(), {"a": (A,), "b": (B,)})
 
 
 @settings(max_examples=300)

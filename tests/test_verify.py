@@ -207,17 +207,6 @@ def test_word_differential_oracle_swap_mutation_is_caught(monkeypatch):
     assert _replayed_verdict(ce) == ce["fast"] != ce["oracle"]
 
 
-@pytest.fixture
-def fresh_engines():
-    """Empty the engine cache before and after a test that patches
-    _RaagEngine.__init__, so no engine outlives the patch it was built under."""
-    from commagraph.groups import _engine
-
-    _engine.cache_clear()
-    yield
-    _engine.cache_clear()
-
-
 def _twins_commute(letter_adjacent):
     # each generator's two reflections commute: every generator is an involution
     for c, row in enumerate(letter_adjacent):
@@ -231,8 +220,8 @@ def _one_entry_flipped(letter_adjacent):
 
 
 @pytest.mark.parametrize("corrupt", [_twins_commute, _one_entry_flipped])
-def test_word_differential_tits_form_mutation_is_caught(monkeypatch, fresh_engines, corrupt):
-    from commagraph.groups import _engine, _RaagEngine
+def test_word_differential_tits_form_mutation_is_caught(monkeypatch, corrupt):
+    from commagraph.groups import _RaagEngine
 
     real = _RaagEngine.__init__
 
@@ -245,12 +234,11 @@ def test_word_differential_tits_form_mutation_is_caught(monkeypatch, fresh_engin
     assert not report.passed
     ce = report.counterexample
     monkeypatch.undo()
-    _engine.cache_clear()
     assert _replayed_verdict(ce) == ce["fast"] != ce["oracle"]
 
 
-def test_word_differential_blocking_table_mutation_is_caught(monkeypatch, fresh_engines):
-    from commagraph.groups import _engine, _RaagEngine
+def test_word_differential_blocking_table_mutation_is_caught(monkeypatch):
+    from commagraph.groups import _RaagEngine
 
     real = _RaagEngine.__init__
 
@@ -269,7 +257,6 @@ def test_word_differential_blocking_table_mutation_is_caught(monkeypatch, fresh_
     assert not report.passed
     ce = report.counterexample
     monkeypatch.undo()
-    _engine.cache_clear()
     assert _replayed_verdict(ce) == ce["oracle"] != ce["fast"]
 
 
