@@ -37,7 +37,6 @@ from .groups import (
     hom_check,
     klein_four_group,
     raag_is_identity,
-    raag_on_hom,
     raag_oracle_is_identity,
     raag_reduce,
     symmetric_group_3,

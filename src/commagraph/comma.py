@@ -13,6 +13,11 @@ adjoint: the coreflection graph puts an edge between two generators exactly
 when their images commute in the target, and the counit evaluates the
 presented group into the target.  Groups themselves embed via their full
 multiplication structure, with the codomain projection as left adjoint.
+
+Each embedding builds its forced morphisms in one place: ``_from_embedded``
+out of an embedded graph, whose vertex map fixes the group part, and
+``into_embedded_group`` into an embedded group, whose group part fixes the
+set map.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Mapping
 
-from .errors import MalformedInput, MissingImage, NotFactorable, NotFiniteTarget, ObjectMismatch
+from .errors import InvalidHom, MalformedInput, MissingImage, NotFactorable, NotFiniteTarget, ObjectMismatch
 from .graphs import Graph, GraphHom, is_graph_hom
 from .groups import (
     CLOSURE_DEFAULT_CAP,
@@ -35,7 +40,6 @@ from .groups import (
     group_to_json,
     hom_check,
     identity_group_hom,
-    raag_on_hom,
 )
 from .sets import FiniteSet, SetMap, compose_maps, finite_set_from_json, identity_map
 
@@ -47,6 +51,8 @@ class CommaObject:
     images: dict[str, object]
 
     def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, CommaObject):
             return NotImplemented
         if self.gens != other.gens or self.target != other.target:
@@ -127,15 +133,21 @@ def embed_graph(g: Graph) -> CommaObject:
     return CommaObject(g.vertices, Raag(g), {v: ((v, 1),) for v in g.vertices})
 
 
+def _from_embedded(src: CommaObject, w: CommaObject, f_set: SetMap) -> CommaMorphism:
+    """The morphism out of an embedded graph with vertex map f_set: each
+    vertex is a single letter of src's presented group, so the commuting
+    square forces its image to be w's image of f_set(v)."""
+    images = {v: w.images[f_set.mapping[v]] for v in src.gens}
+    return CommaMorphism(src, w, f_set, GroupHom(src.target, w.target, images))
+
+
 def embed_graph_hom(f: GraphHom) -> CommaMorphism:
     """Functorial action: the vertex map paired with the induced map of
-    presented groups."""
-    return CommaMorphism(
-        embed_graph(f.dom),
-        embed_graph(f.cod),
-        f.vmap,
-        raag_on_hom(f),
-    )
+    presented groups.  Adjacent vertices map to equal or adjacent ones, so
+    the images commute and the group part is a genuine homomorphism."""
+    if not is_graph_hom(f.dom, f.cod, f.vmap):
+        raise InvalidHom("the vertex map is not a graph homomorphism")
+    return _from_embedded(embed_graph(f.dom), embed_graph(f.cod), f.vmap)
 
 
 def enumerate_morphisms_from_embedded_graph(g: Graph, w: CommaObject) -> list[CommaMorphism]:
@@ -154,9 +166,7 @@ def enumerate_morphisms_from_embedded_graph(g: Graph, w: CommaObject) -> list[Co
             t.commutes(w.images[assignment[u]], w.images[assignment[v]])
             for u, v in g.edges
         ):
-            f_set = SetMap(g.vertices, w.gens, assignment)
-            f_grp = GroupHom(src.target, t, {v: w.images[assignment[v]] for v in g.vertices})
-            out.append(CommaMorphism(src, w, f_set, f_grp))
+            out.append(_from_embedded(src, w, SetMap(g.vertices, w.gens, assignment)))
     return out
 
 
@@ -185,13 +195,7 @@ def coreflect(w: CommaObject) -> Coreflection:
         if t.commutes(w.images[labels[i]], w.images[labels[j]])
     )
     graph = Graph(w.gens, edges)
-    counit = CommaMorphism(
-        embed_graph(graph),
-        w,
-        identity_map(w.gens),
-        GroupHom(Raag(graph), t, dict(w.images)),
-    )
-    return Coreflection(graph, counit)
+    return Coreflection(graph, _from_embedded(embed_graph(graph), w, identity_map(w.gens)))
 
 
 def factor_through_coreflection(core: Coreflection, g: Graph, m: CommaMorphism) -> GraphHom:
@@ -222,17 +226,20 @@ def embed_group(h: FiniteGroup) -> CommaObject:
     return CommaObject(h.elements, h, {x: x for x in h.elements})
 
 
+def into_embedded_group(w: CommaObject, dst: CommaObject, f: GroupHom) -> CommaMorphism:
+    """The morphism from w into an embedded group with group part f: each
+    generator of dst is the element it names, so the commuting square
+    forces the set part to send x to f of w's image of x."""
+    f_set = SetMap(w.gens, dst.gens, {x: f.images[w.images[x]] for x in w.gens})
+    return CommaMorphism(w, dst, f_set, f)
+
+
 def reflect_to_group(w: CommaObject) -> GroupReflection:
     """Project a comma object to its target group; the unit sends each
     generator to (the element-named generator of) its image."""
     if not isinstance(w.target, FiniteGroup):
         raise NotFiniteTarget("only finite targets have a computable underlying set")
-    unit = CommaMorphism(
-        w,
-        embed_group(w.target),
-        SetMap(w.gens, w.target.elements, {x: w.images[x] for x in w.gens}),
-        identity_group_hom(w.target),
-    )
+    unit = into_embedded_group(w, embed_group(w.target), identity_group_hom(w.target))
     return GroupReflection(w.target, unit)
 
 

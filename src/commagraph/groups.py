@@ -49,7 +49,7 @@ from .errors import (
     UnknownElement,
     UnknownGenerator,
 )
-from .graphs import Graph, GraphHom, discrete, graph_from_json, graph_to_json, is_graph_hom
+from .graphs import Graph, discrete, graph_from_json, graph_to_json
 from .sets import FiniteSet, finite_set_from_json, make_set
 
 Word = tuple[tuple[str, int], ...]
@@ -471,6 +471,8 @@ def finite_group_from_permutations(
         ):
             raise NotAPermutation(f"{g!r} is not a permutation of 1..{degree}")
         gens.append(tuple(g))
+    if cap < 1:  # the identity alone already exceeds it
+        raise OrderCapExceeded(f"closure exceeded the cap of {cap} elements")
 
     ident = tuple(points)
     found = [ident]
@@ -635,18 +637,6 @@ def compose_group_homs(f: GroupHom, g: GroupHom) -> GroupHom:
     if f.cod != g.dom:
         raise InvalidHom("codomain of the first hom differs from domain of the second")
     return GroupHom(f.dom, g.cod, {x: apply_hom(g, y) for x, y in f.images.items()})
-
-
-def raag_on_hom(f: GraphHom) -> GroupHom:
-    """Functorial action on a graph hom: generator v goes to generator f(v).
-
-    Adjacent generators map to equal or adjacent ones, so their images
-    always commute and the result is a genuine homomorphism.
-    """
-    if not is_graph_hom(f.dom, f.cod, f.vmap):
-        raise InvalidHom("the vertex map is not a graph homomorphism")
-    images = {v: ((f.vmap.mapping[v], 1),) for v in f.dom.vertices}
-    return GroupHom(Raag(f.dom), Raag(f.cod), images)
 
 
 def _raag_hom_images(raag: Raag, h: FiniteGroup) -> list[tuple[int, ...]]:

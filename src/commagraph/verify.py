@@ -19,21 +19,21 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from itertools import product
+from itertools import combinations, product
 from math import comb
 from typing import Callable, Iterator
 
 from . import comma
 from .errors import NotFactorable, UnknownSuite, UsageError
 from .graphs import (
-    _graph_hom_images, discrete, enumerate_graph_homs, graph_to_json, indiscrete, make_graph,
+    Graph, _graph_hom_images, discrete, enumerate_graph_homs, graph_to_json, indiscrete, make_graph,
 )
 from .groups import (
     FiniteGroup, Raag, _raag_hom_images, commutation_graph,
     cyclic_group, enumerate_homs_finite_to_finite, group_to_json, klein_four_group, symmetric_group_3,
     trivial_group, word_to_tokens,
 )
-from .sets import SetMap, make_set
+from .sets import make_set
 
 _LABELS = ("a", "b", "c", "d", "e")
 
@@ -60,12 +60,22 @@ class CheckReport:
         }
 
 
+# The first n standard labels as a set, and their pairs (i, j), i < j, in
+# lexicographic order, built once: every labelled graph is drawn over them.
+_LABEL_SETS = [make_set(_LABELS[:n]) for n in range(len(_LABELS) + 1)]
+_PAIRS = [tuple(combinations(_LABELS[:n], 2)) for n in range(len(_LABELS) + 1)]
+
+
+def _labelled_graph(n: int, bits: int) -> Graph:
+    """The graph on the first n standard labels whose edges are the pairs
+    at the set bits of bits."""
+    return make_graph(_LABEL_SETS[n], [p for k, p in enumerate(_PAIRS[n]) if bits >> k & 1])
+
+
 def graphs_on(n: int):
     """All 2^C(n,2) labeled graphs on the first n standard labels."""
-    labels = make_set(_LABELS[:n])
-    pairs = [(labels.labels[i], labels.labels[j]) for i in range(n) for j in range(i + 1, n)]
-    for bits in range(2 ** len(pairs)):
-        yield make_graph(labels, [p for k, p in enumerate(pairs) if bits >> k & 1])
+    for bits in range(2 ** comb(n, 2)):
+        yield _labelled_graph(n, bits)
 
 
 def graphs_up_to(max_vertices: int):
@@ -227,15 +237,11 @@ def _group_reflection(pool: list[comma.CommaObject], codomains: list[FiniteGroup
             embedded = comma.embed_group(k)
             hom_list = enumerate_homs_finite_to_finite(w.target, k)
             source = comma.embed_group(w.target)
-            through = [
-                comma.CommaMorphism(source, embedded, SetMap(source.gens, k.elements, dict(f.images)), f)
-                for f in hom_list
-            ]
+            through = [comma.into_embedded_group(source, embedded, f) for f in hom_list]
             composites = None
             where = {"object": comma.comma_object_to_json(w), "codomain": group_to_json(k)}
             for f in hom_list:
-                f_set = SetMap(w.gens, k.elements, {x: f.images[w.images[x]] for x in w.gens})
-                m = comma.CommaMorphism(w, embedded, f_set, f)
+                m = comma.into_embedded_group(w, embedded, f)
                 if comma.is_comma_morphism(m):
                     if composites is None:
                         composites = [comma.compose_comma(reflection.unit, g) for g in through]
@@ -264,9 +270,10 @@ def _word_differential(
     verdict is a set lookup.  The random phase, whose graphs and lengths
     would make those sets far too large, tests each word in the Tits
     representation of a right-angled Coxeter group, linear in its length.
-    Its graphs are drawn one edge at a time, and each distinct one, of at
-    most 2^C(n,2) on n labels, is built once per call: a table keyed by the
-    vertex count and the bitmask of drawn edges holds its Raag, which owns the engine."""
+    Its graphs are drawn one edge at a time, as bits over the pairs in
+    graphs_on's order, and each distinct one, of at most 2^C(n,2) on n
+    labels, is built once per call: a table keyed by the vertex count and
+    the bits holds its Raag, which owns the engine."""
 
     def verdict(raag: Raag, codes: tuple[int, ...], oracle: bool) -> dict | None:
         fast = raag.engine.is_identity(codes)
@@ -284,17 +291,13 @@ def _word_differential(
             for codes in product(letters, repeat=length):
                 yield verdict(raag, codes, codes in trivial[length])
 
-    labels = _LABELS[:random_max_vertices]
-    pairs = [(a, b) for i, a in enumerate(labels) for b in labels[i + 1:]]
-    inside = [[k for k, (_, b) in enumerate(pairs) if b in labels[:n]] for n in range(len(labels) + 1)]
-    raags = {}  # (n, edge bitmask) -> the group that graph presents
+    raags = {}  # (n, bits) -> the group that graph presents
     for _ in range(random_words):
         n = rng.randint(1, random_max_vertices)
-        mask = sum(1 << k for k in inside[n] if rng.random() < 0.5)
-        if (n, mask) not in raags:
-            edges = [pairs[k] for k in inside[n] if mask >> k & 1]
-            raags[n, mask] = Raag(make_graph(make_set(labels[:n]), edges))
-        raag = raags[n, mask]
+        bits = sum(1 << k for k in range(comb(n, 2)) if rng.random() < 0.5)
+        if (n, bits) not in raags:
+            raags[n, bits] = Raag(_labelled_graph(n, bits))
+        raag = raags[n, bits]
         length = rng.randint(0, random_max_len)
         codes = tuple(rng.randrange(2 * n) for _ in range(length))
         yield verdict(raag, codes, raag.engine.oracle_is_identity(codes))

@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from commagraph import (
     CommaMorphism,
+    CommaObject,
     Raag,
     compose_comma,
     coreflect,
@@ -16,6 +17,7 @@ from commagraph import (
     enumerate_morphisms_from_embedded_graph,
     factor_through_coreflection,
     identity_comma,
+    indiscrete,
     is_comma_morphism,
     klein_four_group,
     make_comma_object,
@@ -129,6 +131,20 @@ def test_equality_over_a_raag_compares_elements_not_words():
     )
 
 
+def test_object_equals_itself_without_comparing_images(monkeypatch):
+    class Compared(Exception):
+        pass
+
+    def refuse(self, a, b):
+        raise Compared
+
+    w = s3_witness()
+    monkeypatch.setattr(type(w.target), "equal", refuse)
+    assert w == w
+    with pytest.raises(Compared):
+        _ = w == CommaObject(w.gens, w.target, dict(w.images))
+
+
 def test_morphisms_with_equal_set_maps_can_differ():
     raag = Raag(edge_graph())
     a, b, ib = ("a", 1), ("b", 1), ("b", -1)
@@ -189,6 +205,15 @@ def test_embed_graph_shapes():
 def test_embed_graph_hom_identity():
     g = edge_graph()
     assert embed_graph_hom(make_graph_hom(g, g, {"a": "a", "b": "b"})) == identity_comma(embed_graph(g))
+
+
+def test_forced_group_parts_run_between_the_objects_own_groups():
+    f = make_graph_hom(edge_graph(), indiscrete(make_set(["c", "d", "e"])), {"a": "c", "b": "d"})
+    m = embed_graph_hom(f)
+    assert m.f_grp.dom is m.src.target and m.f_grp.cod is m.dst.target
+    for w in (abelian_witness(), s3_witness(), embed_graph(edge_graph())):
+        counit = coreflect(w).counit
+        assert counit.f_grp.dom is counit.src.target and counit.f_grp.cod is counit.dst.target
 
 
 def test_embed_collapse_square_commutes():

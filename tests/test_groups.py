@@ -14,6 +14,7 @@ from commagraph import (
     commutation_graph,
     cyclic_group,
     discrete,
+    embed_graph_hom,
     enumerate_homs_finite_to_finite,
     enumerate_homs_raag_to_finite,
     evaluate_word,
@@ -26,7 +27,6 @@ from commagraph import (
     make_graph_hom,
     make_set,
     raag_is_identity,
-    raag_on_hom,
     raag_oracle_is_identity,
     raag_reduce,
     symmetric_group_3,
@@ -539,6 +539,17 @@ def test_permutation_closure_cap():
         finite_group_from_permutations(3, [(2, 1, 3), (2, 3, 1)], cap=3)
 
 
+def test_closure_cap_below_one_is_refused():
+    # the identity alone exceeds such a cap, even with no generators
+    for cap in (0, -5):
+        with pytest.raises(OrderCapExceeded):
+            group_from_json({"type": "perm", "degree": 2, "generators": []}, closure_cap=cap)
+        with pytest.raises(OrderCapExceeded):
+            finite_group_from_permutations(2, [(2, 1)], cap=cap)
+    trivial = group_from_json({"type": "perm", "degree": 2, "generators": []}, closure_cap=1)
+    assert trivial.elements.labels == ("12",)
+
+
 def test_default_closure_cap_admits_s6_and_refuses_s7():
     # 1,000 elements: at most 10^6 table entries; S7 (5,040) is refused
     # during the closure, before any table exists
@@ -701,19 +712,19 @@ def test_raag_of_triangle_is_free_abelian():
             assert triangle.commutes(((u, 1),), ((v, 1),))
 
 
-def test_raag_on_hom_functor_laws():
+def test_embed_graph_hom_group_part_functor_laws():
     g = make_graph(make_set(["a", "b"]), [("a", "b")])
-    ident = raag_on_hom(make_graph_hom(g, g, {"a": "a", "b": "b"}))
+    ident = embed_graph_hom(make_graph_hom(g, g, {"a": "a", "b": "b"})).f_grp
     assert ident == identity_group_hom(Raag(g))
     h = indiscrete(make_set(["c", "d", "e"]))
     f1 = make_graph_hom(g, h, {"a": "c", "b": "d"})
     f2 = make_graph_hom(h, h, {"c": "d", "d": "e", "e": "c"})
-    composed = compose_group_homs(raag_on_hom(f1), raag_on_hom(f2))
-    direct = raag_on_hom(make_graph_hom(g, h, {"a": "d", "b": "e"}))
+    composed = compose_group_homs(embed_graph_hom(f1).f_grp, embed_graph_hom(f2).f_grp)
+    direct = embed_graph_hom(make_graph_hom(g, h, {"a": "d", "b": "e"})).f_grp
     assert composed == direct
 
 
-def test_raag_on_hom_rejects_non_hom():
+def test_embed_graph_hom_rejects_non_hom():
     from commagraph.graphs import GraphHom
     from commagraph.sets import make_map
 
@@ -721,7 +732,7 @@ def test_raag_on_hom_rejects_non_hom():
     h = discrete(make_set(["c", "d"]))
     bad = make_map(g.vertices, h.vertices, {"a": "c", "b": "d"})
     with pytest.raises(InvalidHom):
-        raag_on_hom(GraphHom(g, h, bad))
+        embed_graph_hom(GraphHom(g, h, bad))
 
 
 def test_free_group_equality_matches_free_reduce():

@@ -5,7 +5,7 @@ import pytest
 from commagraph import comma, verify
 from commagraph.graphs import Graph, enumerate_graph_homs, graph_from_json
 from commagraph.groups import (
-    FiniteGroup, Raag, commutation_graph, enumerate_homs_raag_to_finite, word_from_tokens,
+    FiniteGroup, GroupHom, Raag, commutation_graph, enumerate_homs_raag_to_finite, word_from_tokens,
 )
 from commagraph.sets import SetMap, make_set
 
@@ -436,6 +436,49 @@ def test_group_reflection_unit_mutation_is_caught(monkeypatch):
     assert report.cases_checked == 20
     assert report.counterexample["reason"] == "unit is not a comma morphism"
     assert sorted(report.counterexample) == ["object", "reason"]
+
+
+def _first_image_everywhere(monkeypatch):
+    """Corrupt the one constructor of morphisms out of embedded graphs: the
+    group part sends every vertex to the first vertex's image."""
+    real = comma._from_embedded
+
+    def corrupted(src, w, f_set):
+        m = real(src, w, f_set)
+        if not src.gens:
+            return m
+        first = m.f_grp.images[src.gens.labels[0]]
+        f_grp = GroupHom(src.target, w.target, {v: first for v in src.gens})
+        return comma.CommaMorphism(src, w, f_set, f_grp)
+
+    monkeypatch.setattr(comma, "_from_embedded", corrupted)
+
+
+def test_from_embedded_mutation_fails_fullness(monkeypatch):
+    _first_image_everywhere(monkeypatch)
+    report = verify.run_suite("fullness")
+    assert not report.passed
+    assert report.counterexample["reason"] == "enumerated square does not commute"
+    assert report.counterexample["map"] == {"a": "a", "b": "b"}
+
+
+def test_from_embedded_mutation_fails_couniversal(monkeypatch):
+    _first_image_everywhere(monkeypatch)
+    report = verify.run_suite("couniversal")
+    assert not report.passed
+    assert report.counterexample["factorizations"] == 0
+
+
+def test_into_embedded_group_mutation_fails_group_reflection(monkeypatch):
+    # the set part sends every generator to one element, whatever f says
+    def corrupted(w, dst, f):
+        f_set = SetMap(w.gens, dst.gens, {x: dst.gens.labels[0] for x in w.gens})
+        return comma.CommaMorphism(w, dst, f_set, f)
+
+    monkeypatch.setattr(comma, "into_embedded_group", corrupted)
+    report = verify.run_suite("group-reflection")
+    assert not report.passed
+    assert report.counterexample["reason"] == "unit is not a comma morphism"
 
 
 # ---------------------------------------------------------------------------
