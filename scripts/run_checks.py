@@ -14,8 +14,11 @@ from commagraph import verify
 
 
 def main() -> int:
+    _, _, unit_iso_top = verify.SUITES["unit-iso"].bounds["max_vertices"]
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-unit-iso", type=int, default=5, help="deepest unit-iso vertex bound")
+    parser.add_argument(
+        "--max-unit-iso", type=int, default=unit_iso_top, help="deepest unit-iso vertex bound"
+    )
     parser.add_argument("--max-word-len", type=int, default=7, help="deepest exhaustive word length")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--json", action="store_true", help="emit the reports as JSON")

@@ -27,7 +27,7 @@ from itertools import product
 from typing import Mapping
 
 from .errors import InvalidHom, MalformedInput, MissingImage, NotFactorable, NotFiniteTarget, ObjectMismatch
-from .graphs import Graph, GraphHom, is_graph_hom
+from .graphs import Graph, GraphHom, is_graph_hom, make_graph_hom
 from .groups import (
     CLOSURE_DEFAULT_CAP,
     FiniteGroup,
@@ -198,17 +198,18 @@ def coreflect(w: CommaObject) -> Coreflection:
     return Coreflection(graph, _from_embedded(embed_graph(graph), w, identity_map(w.gens)))
 
 
-def factor_through_coreflection(core: Coreflection, g: Graph, m: CommaMorphism) -> GraphHom:
-    """The unique graph hom whose embedded image followed by the counit
-    gives back m, for m out of the embedded graph g into core's object."""
-    if m.src != embed_graph(g) or m.dst != core.counit.dst:
+def factor_through_coreflection(core: Coreflection, m: CommaMorphism) -> GraphHom:
+    """The unique graph hom, out of the graph m's source embeds, whose embedding
+    followed by the counit is m; make_map refuses a partial or stray vertex map."""
+    source = m.src.target
+    if not isinstance(source, Raag) or m.src != embed_graph(source.presentation) or m.dst != core.counit.dst:
         raise ObjectMismatch("the morphism must run from the embedded graph to the coreflected object")
-    vmap = SetMap(g.vertices, core.graph.vertices, dict(m.f_set.mapping))
-    if not is_graph_hom(g, core.graph, vmap):
+    try:
+        return make_graph_hom(source.presentation, core.graph, m.f_set.mapping)
+    except InvalidHom:
         raise NotFactorable(
             "the set part of a valid morphism must land as a graph hom in the coreflection"
-        )
-    return GraphHom(g, core.graph, vmap)
+        ) from None
 
 
 # ---------------------------------------------------------------------------

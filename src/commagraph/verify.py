@@ -11,8 +11,9 @@ passes, its counterexample when it fails.  A check that is not a case
 (fullness comparing a pair's two hom sets, group reflection checking its
 unit) ends the generator by returning its counterexample.  One driver,
 ``run_suite``, counts the cases, stops at the first counterexample and
-builds the report; one registry, ``SUITES``, holds each suite's scope,
-default bounds and legal ranges, which the driver enforces on every call.
+builds the report; one registry, ``SUITES``, holds each suite's scope and
+the default and legal range of each bound a caller sets, which the driver
+enforces on every call; a window no caller moves is a constant of its suite.
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ _LABELS = ("a", "b", "c", "d", "e")
 # Most words the exhaustive phase of word-differential may enumerate; the
 # deepest sweep in use, length 7 over graphs on 0..3 vertices, is 2,731,330.
 WORD_BUDGET = 3_000_000
+_DVI_MAX_SET = 3  # dvi's largest set; no caller moves it, so it is no bound
+_RANDOM_MAX_LEN, _RANDOM_MAX_VERTICES = 10, 4  # word-differential's random window, likewise
 
 
 @dataclass(frozen=True)
@@ -173,7 +176,7 @@ def _ac_bijection(max_vertices: int, groups: list[FiniteGroup]) -> Cases:
             }
 
 
-def _dvi(max_set: int, max_vertices: int) -> Cases:
+def _dvi(max_vertices: int) -> Cases:
     """Hom-count identities for the discrete and indiscrete constructions."""
 
     def mismatch(x, g, side: str, homs: list, expected: int) -> dict | None:
@@ -182,7 +185,7 @@ def _dvi(max_set: int, max_vertices: int) -> Cases:
         return {"set": list(x.labels), "graph": graph_to_json(g), "side": side,
                 "hom_count": len(homs), "expected": expected}
 
-    for n in range(max_set + 1):
+    for n in range(_DVI_MAX_SET + 1):
         x = make_set(_LABELS[:n])
         for g in graphs_up_to(max_vertices):
             v = len(g.vertices)
@@ -212,7 +215,7 @@ def _couniversal(pool: list[comma.CommaObject], max_vertices: int) -> Cases:
                     witness = len(factors)
                 else:
                     try:
-                        found = comma.factor_through_coreflection(core, g, m)
+                        found = comma.factor_through_coreflection(core, m)
                     except NotFactorable:
                         witness = "factor_through_coreflection failed"
                     else:
@@ -233,18 +236,18 @@ def _group_reflection(pool: list[comma.CommaObject], codomains: list[FiniteGroup
         reflection = comma.reflect_to_group(w)
         if not comma.is_comma_morphism(reflection.unit):
             return {"object": comma.comma_object_to_json(w), "reason": "unit is not a comma morphism"}
+        source = comma.embed_group(w.target)  # not the unit's own codomain: composing compares by value
         for k in codomains:
             embedded = comma.embed_group(k)
             hom_list = enumerate_homs_finite_to_finite(w.target, k)
-            source = comma.embed_group(w.target)
-            through = [comma.into_embedded_group(source, embedded, f) for f in hom_list]
-            composites = None
+            composites = [
+                comma.compose_comma(reflection.unit, comma.into_embedded_group(source, embedded, f))
+                for f in hom_list
+            ]
             where = {"object": comma.comma_object_to_json(w), "codomain": group_to_json(k)}
             for f in hom_list:
                 m = comma.into_embedded_group(w, embedded, f)
                 if comma.is_comma_morphism(m):
-                    if composites is None:
-                        composites = [comma.compose_comma(reflection.unit, g) for g in through]
                     factors = sum(composite == m for composite in composites)
                     yield None if factors == 1 else {**where, "factorizations": factors}
                 else:
@@ -257,8 +260,6 @@ def _word_differential(
     max_vertices: int,
     max_len: int,
     random_words: int,
-    random_max_len: int,
-    random_max_vertices: int,
     rng: random.Random,
 ) -> Cases:
     """The cancellation engine against two oracles that use none of it:
@@ -293,12 +294,12 @@ def _word_differential(
 
     raags = {}  # (n, bits) -> the group that graph presents
     for _ in range(random_words):
-        n = rng.randint(1, random_max_vertices)
+        n = rng.randint(1, _RANDOM_MAX_VERTICES)
         bits = sum(1 << k for k in range(comb(n, 2)) if rng.random() < 0.5)
         if (n, bits) not in raags:
             raags[n, bits] = Raag(_labelled_graph(n, bits))
         raag = raags[n, bits]
-        length = rng.randint(0, random_max_len)
+        length = rng.randint(0, _RANDOM_MAX_LEN)
         codes = tuple(rng.randrange(2 * n) for _ in range(length))
         yield verdict(raag, codes, raag.engine.oracle_is_identity(codes))
 
@@ -342,8 +343,8 @@ SUITES: dict[str, Suite] = {
     ),
     "dvi": Suite(
         _dvi,
-        "sets of size 0..{max_set} against graphs on 0..{max_vertices} vertices",
-        {"max_set": (3, 0, _V), "max_vertices": (3, 0, _V)},
+        f"sets of size 0..{_DVI_MAX_SET} against graphs on 0..{{max_vertices}} vertices",
+        {"max_vertices": (3, 0, _V)},
     ),
     "couniversal": Suite(
         _couniversal,
@@ -365,14 +366,12 @@ SUITES: dict[str, Suite] = {
     "word-differential": Suite(
         _word_differential,
         "all words of length <= {max_len} over graphs on 0..{max_vertices} vertices, "
-        "plus {random_words} seeded words of length <= {random_max_len} "
-        "over graphs on <= {random_max_vertices} vertices",
+        f"plus {{random_words}} seeded words of length <= {_RANDOM_MAX_LEN} "
+        f"over graphs on <= {_RANDOM_MAX_VERTICES} vertices",
         {
             "max_vertices": (3, 0, _V),
             "max_len": (6, 0, 20),  # one vertex already gives 2^21 - 1 words at length 20
             "random_words": (10000, 0, None),
-            "random_max_len": (10, 0, None),
-            "random_max_vertices": (4, 1, _V),
         },
         {"rng": random.Random},
         _exhaustive_words,
@@ -414,7 +413,7 @@ def validate(name: str, **given) -> dict:
 def run_suite(name: str, seed: int = 0, **given) -> CheckReport:
     """Run a suite: the one place that counts cases and stops at the first
     counterexample.  Bounds and fixtures go by their registry names, None
-    meaning the default, and a name the suite does not take is ignored."""
+    meaning the default; a name only other suites take is ignored, any other refused."""
     suite = _suite(name)
     args = validate(name, **given)
     for key, build in suite.fixtures.items():

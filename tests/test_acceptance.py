@@ -75,7 +75,7 @@ def test_criterion_3_ac_hom_bijection():
 
 
 def test_criterion_4_discrete_indiscrete_bijections():
-    report, elapsed = _timed(lambda: verify.run_suite("dvi", max_set=3, max_vertices=3))
+    report, elapsed = _timed(lambda: verify.run_suite("dvi", max_vertices=3))
     ok = report.passed and elapsed < 5
     _report(4, "discrete/indiscrete hom-count identities", ok, elapsed, 5)
     assert report.passed, report.counterexample
@@ -103,8 +103,7 @@ def test_criterion_6_group_reflection():
 def test_criterion_7_word_problem_differential():
     report, elapsed = _timed(
         lambda: verify.run_suite(
-            "word-differential", seed=0, max_vertices=3, max_len=6,
-            random_words=10000, random_max_len=10, random_max_vertices=4,
+            "word-differential", seed=0, max_vertices=3, max_len=6, random_words=10000
         )
     )
     ok = report.passed and elapsed < 120
@@ -113,6 +112,7 @@ def test_criterion_7_word_problem_differential():
     # the exhaustive phase alone covers every word of length <= 6 over every
     # labeled graph on 0..3 vertices, plus the 10000 random words
     assert report.cases_checked == 458946 + 10000
+    assert report.scope.endswith("10000 seeded words of length <= 10 over graphs on <= 4 vertices")
     assert elapsed < 120
 
 
@@ -136,7 +136,7 @@ def test_criterion_8_degenerate_cases():
         assert verify.run_suite("unit-iso", max_vertices=0).passed
         assert verify.run_suite("fullness", max_vertices=0).passed
         assert verify.run_suite("ac-bijection", max_vertices=0, groups=[trivial_group()]).passed
-        assert verify.run_suite("dvi", max_set=0, max_vertices=0).passed
+        assert verify.run_suite("dvi", max_vertices=0).passed
         assert verify.run_suite("couniversal", pool=pool, max_vertices=1).passed
         codomains = [trivial_group(), cyclic_group(2)]
         assert verify.run_suite("group-reflection", pool=pool, codomains=codomains).passed

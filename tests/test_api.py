@@ -1,9 +1,12 @@
 """No public function of the package has its own test as its only caller,
-and every name the benchmark's tracer wraps still exists."""
+no suite bound is set only by tests, and every name the benchmark's tracer
+wraps still exists."""
 
 import ast
 import importlib
 from pathlib import Path
+
+from commagraph import verify
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "commagraph"
@@ -13,7 +16,6 @@ WITHOUT_CALLER = {
     "raag_oracle_is_identity": "the Tits oracle on one word; the engine's long-word tests compare against it",
     "identity_hom": "graph functor law; waits for the functor suite (ROADMAP item 5)",
     "compose_homs": "graph functor law; waits for the functor suite (ROADMAP item 5)",
-    "make_graph_hom": "graph functor law; waits for the functor suite (ROADMAP item 5)",
     "identity_comma": "comma functor law; waits for the functor suite (ROADMAP item 5)",
     "commutation_counit": "group-side counit; waits for the functor suite (ROADMAP item 5)",
 }
@@ -53,6 +55,31 @@ def test_every_exported_function_has_a_caller():
         f"public without a caller: {sorted(uncalled - set(WITHOUT_CALLER))}; "
         f"allow-listed but now called: {sorted(set(WITHOUT_CALLER) - uncalled)}"
     )
+
+
+def _names_callers_pass() -> set[str]:
+    """Every string constant and keyword name in the CLI and the scripts:
+    the ways a caller names a suite bound."""
+    names = set()
+    for path in [PACKAGE / "cli.py", *sorted((ROOT / "scripts").glob("*.py"))]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
+            elif isinstance(node, ast.keyword) and node.arg is not None:
+                names.add(node.arg)
+    return names
+
+
+def test_every_suite_bound_has_a_caller():
+    """A bound that only tests set is a constant of its suite, not a bound."""
+    named = _names_callers_pass()
+    unset = [
+        f"{name}.{bound}"
+        for name, suite in verify.SUITES.items()
+        for bound in suite.bounds
+        if bound not in named
+    ]
+    assert unset == []
 
 
 def test_every_traced_name_resolves(monkeypatch):

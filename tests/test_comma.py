@@ -32,6 +32,8 @@ from commagraph.errors import (
     MalformedInput,
     MissingImage,
     NotFiniteTarget,
+    NotInCodomain,
+    NotTotal,
     ObjectMismatch,
     UnknownElement,
     UnknownGenerator,
@@ -325,7 +327,7 @@ def test_factor_single_vertex_example():
     w = s3_witness()
     for m in enumerate_morphisms_from_embedded_graph(g, w):
         core = coreflect(w)
-        f = factor_through_coreflection(core, g, m)
+        f = factor_through_coreflection(core, m)
         assert f.vmap.mapping == m.f_set.mapping
         assert compose_comma(embed_graph_hom(f), core.counit) == m
         # uniqueness: no other graph hom composes to m
@@ -340,7 +342,7 @@ def test_factor_single_vertex_example():
 def test_counit_factors_through_itself():
     w = s3_witness()
     core = coreflect(w)
-    f = factor_through_coreflection(core, core.graph, core.counit)
+    f = factor_through_coreflection(core, core.counit)
     assert f.vmap.mapping == {"x": "x", "y": "y"}
 
 
@@ -348,15 +350,16 @@ def test_factor_exists_for_abelian_targets():
     w = abelian_witness()
     core = coreflect(w)
     for m in enumerate_morphisms_from_embedded_graph(edge_graph(), w):
-        f = factor_through_coreflection(core, edge_graph(), m)
+        f = factor_through_coreflection(core, m)
         assert is_comma_morphism(compose_comma(embed_graph_hom(f), core.counit))
 
 
 def test_factor_rejects_wrong_source():
+    # the source's target is finite, so it embeds no graph
     w = s3_witness()
     m = identity_comma(w)
     with pytest.raises(ObjectMismatch):
-        factor_through_coreflection(coreflect(w), edge_graph(), m)
+        factor_through_coreflection(coreflect(w), m)
 
 
 def test_factor_rejects_coreflection_of_another_object():
@@ -364,7 +367,28 @@ def test_factor_rejects_coreflection_of_another_object():
     other = coreflect(abelian_witness())
     for m in enumerate_morphisms_from_embedded_graph(g, s3_witness()):
         with pytest.raises(ObjectMismatch):
-            factor_through_coreflection(other, g, m)
+            factor_through_coreflection(other, m)
+
+
+def _from_edgeless_pair(w, vertex_map):
+    """A hand-built morphism out of the embedded edgeless graph on a, b
+    into w, its set part taken as given and every vertex sent to x's image."""
+    g = discrete(make_set(["a", "b"]))
+    src = embed_graph(g)
+    f_grp = GroupHom(src.target, w.target, {v: w.images["x"] for v in g.vertices})
+    return CommaMorphism(src, w, SetMap(g.vertices, w.gens, vertex_map), f_grp)
+
+
+def test_factor_rejects_a_partial_vertex_map():
+    w = s3_witness()
+    with pytest.raises(NotTotal):
+        factor_through_coreflection(coreflect(w), _from_edgeless_pair(w, {"a": "x"}))
+
+
+def test_factor_rejects_a_vertex_image_outside_the_coreflection():
+    w = s3_witness()
+    with pytest.raises(NotInCodomain):
+        factor_through_coreflection(coreflect(w), _from_edgeless_pair(w, {"a": "x", "b": "zz"}))
 
 
 # ---------------------------------------------------------------------------

@@ -85,7 +85,7 @@ def test_ac_bijection_passes():
 
 
 def test_dvi_passes():
-    report = verify.run_suite("dvi", max_set=3, max_vertices=3)
+    report = verify.run_suite("dvi", max_vertices=3)
     assert report.passed
     assert report.cases_checked == 4 * 12
 
@@ -263,7 +263,7 @@ def test_word_differential_blocking_table_mutation_is_caught(monkeypatch):
 def test_reports_are_deterministic():
     for name, bounds in (
         ("unit-iso", {}),
-        ("dvi", {"max_set": 2, "max_vertices": 2}),
+        ("dvi", {"max_vertices": 2}),
         ("couniversal", {"max_vertices": 1}),
         ("word-differential", {"max_vertices": 2, "max_len": 3, "random_words": 50}),
     ):
@@ -287,7 +287,7 @@ def test_run_suite_dispatch():
 
 
 def test_report_json_shape():
-    data = verify.run_suite("dvi", max_set=1, max_vertices=1).to_json()
+    data = verify.run_suite("dvi", max_vertices=1).to_json()
     assert set(data) == {"name", "scope", "passed", "cases_checked", "counterexample"}
     assert data["passed"] is True and data["counterexample"] is None
 
@@ -391,7 +391,7 @@ def test_ac_bijection_checks_the_index_spaces_agree(monkeypatch):
 
 def test_dvi_mutation_is_caught(monkeypatch):
     monkeypatch.setattr(verify, "indiscrete", verify.discrete)
-    report = verify.run_suite("dvi", max_set=3, max_vertices=3)
+    report = verify.run_suite("dvi", max_vertices=3)
     assert not report.passed
     assert report.cases_checked == 28
     assert sorted(report.counterexample) == ["expected", "graph", "hom_count", "set", "side"]
@@ -403,10 +403,10 @@ def test_couniversal_mutation_is_caught(monkeypatch):
 
     real = comma.factor_through_coreflection
 
-    def refuses_edges(core, g, m):
-        if g.edges:
+    def refuses_edges(core, m):
+        if m.src.target.presentation.edges:
             raise NotFactorable("refused")
-        return real(core, g, m)
+        return real(core, m)
 
     monkeypatch.setattr(comma, "factor_through_coreflection", refuses_edges)
     report = verify.run_suite("couniversal", max_vertices=3)
@@ -503,8 +503,8 @@ def test_out_of_range_bounds_raise_usage_errors():
         verify.run_suite("word-differential", max_len=8)  # 16,299,586 words over 0..3 vertices
     with pytest.raises(UsageError):
         verify.validate("word-differential", max_vertices=5)
-    with pytest.raises(UsageError):
-        verify.run_suite("word-differential", random_max_vertices=6)
+    with pytest.raises(UsageError, match="no suite takes max_set"):
+        verify.run_suite("dvi", max_set=3)  # dvi's set sizes are fixed at 0..3
     with pytest.raises(KeyError):
         verify.validate("bogus")
     # a misspelt name is refused, not ignored in favour of the default
