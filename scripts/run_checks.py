@@ -11,6 +11,7 @@ import sys
 import time
 
 from commagraph import verify
+from commagraph.errors import UsageError
 
 
 def main() -> int:
@@ -24,24 +25,35 @@ def main() -> int:
     parser.add_argument("--json", action="store_true", help="emit the reports as JSON")
     args = parser.parse_args()
 
-    rows = []
+    plan = []
 
-    def run(row: str, name: str, **bounds) -> None:
+    def add(row: str, name: str, **bounds) -> None:
+        plan.append((row, name, bounds))
+
+    for bound in range(1, args.max_unit_iso + 1):
+        add(f"unit-iso <= {bound}", "unit-iso", max_vertices=bound)
+    _, _, deepest = verify.SUITES["fullness"].bounds["max_vertices"]
+    for bound in range(1, deepest + 1):
+        add(f"fullness <= {bound}", "fullness", max_vertices=bound)
+    for name in ("ac-bijection", "dvi", "couniversal"):
+        default, _, _ = verify.SUITES[name].bounds["max_vertices"]
+        add(f"{name} <= {default}", name)
+    add("group-reflection", "group-reflection")
+    for length in range(4, args.max_word_len + 1):
+        add(f"word-differential len <= {length}", "word-differential", max_len=length, random_words=0)
+
+    try:  # every row's bounds before any suite runs, as the CLI does
+        for _, name, bounds in plan:
+            verify.validate(name, **bounds)
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 3
+
+    rows = []
+    for row, name, bounds in plan:
         start = time.perf_counter()
         report = verify.run_suite(name, seed=args.seed, **bounds)
         rows.append((row, report, time.perf_counter() - start))
-
-    for bound in range(1, args.max_unit_iso + 1):
-        run(f"unit-iso <= {bound}", "unit-iso", max_vertices=bound)
-    _, _, deepest = verify.SUITES["fullness"].bounds["max_vertices"]
-    for bound in range(1, deepest + 1):
-        run(f"fullness <= {bound}", "fullness", max_vertices=bound)
-    for name in ("ac-bijection", "dvi", "couniversal"):
-        default, _, _ = verify.SUITES[name].bounds["max_vertices"]
-        run(f"{name} <= {default}", name)
-    run("group-reflection", "group-reflection")
-    for length in range(4, args.max_word_len + 1):
-        run(f"word-differential len <= {length}", "word-differential", max_len=length, random_words=0)
 
     if args.json:
         print(json.dumps([r.to_json() for _, r, _ in rows], indent=2))

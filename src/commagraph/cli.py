@@ -24,7 +24,6 @@ from .comma import (
 from .errors import InputError, MalformedInput, UsageError
 from .graphs import enumerate_graph_homs, graph_from_json, graph_to_json
 from .groups import (
-    CLOSURE_DEFAULT_CAP,
     FiniteGroup,
     Raag,
     commutation_graph,
@@ -40,25 +39,6 @@ from .groups import (
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
-
-
-class _ReadsNoGroup(argparse.Action):
-    """Refuses an option of the group reader on a subcommand that reads no
-    group; unregistered, the option's value would be taken for an input file."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        raise UsageError(f"{option_string} does not apply to {parser.prog}: it reads no group")
-
-
-def _closure_cap(text: str) -> int:
-    """A --closure-cap value: an int of at least 1, as every group has an element."""
-    try:
-        cap = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if cap < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {cap}")
-    return cap
 
 
 def _load_json(path: str):
@@ -113,7 +93,7 @@ def _cmd_gamma(args) -> int:
 
 
 def _cmd_coreflect(args) -> int:
-    w = comma_object_from_json(_load_json(args.object), closure_cap=args.closure_cap)
+    w = comma_object_from_json(_load_json(args.object))
     core = coreflect(w)
     _note(f"coreflection graph has {len(core.graph.edges)} edges on {len(core.graph.vertices)} vertices")
     _emit({"graph": graph_to_json(core.graph), "counit": comma_morphism_to_json(core.counit)}, args)
@@ -131,7 +111,7 @@ def _cmd_raag_reduce(args) -> int:
 
 
 def _cmd_commutation_graph(args) -> int:
-    h = group_from_json(_load_json(args.group), closure_cap=args.closure_cap)
+    h = group_from_json(_load_json(args.group))
     if not isinstance(h, FiniteGroup):
         raise MalformedInput("commutation graphs need a finite group")
     graph = commutation_graph(h)
@@ -153,7 +133,7 @@ def _cmd_homs(args) -> int:
             "homs": [f.vmap.mapping for f in homs],  # keyed in g.vertices order
         }
     else:
-        h = group_from_json(other, closure_cap=args.closure_cap)
+        h = group_from_json(other)
         if not isinstance(h, FiniteGroup):
             raise MalformedInput("hom enumeration needs a graph or a finite group")
         homs = enumerate_homs_raag_to_finite(Raag(g), h)
@@ -185,17 +165,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="commagraph", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, reads_groups=False):
+    def common(p):
         p.add_argument("--output", help="write the JSON result to this file instead of stdout")
-        if reads_groups:
-            p.add_argument(
-                "--closure-cap",
-                type=_closure_cap,
-                default=CLOSURE_DEFAULT_CAP,
-                help="largest permutation closure the group reader will compute",
-            )
-        else:
-            p.add_argument("--closure-cap", action=_ReadsNoGroup, help=argparse.SUPPRESS)
 
     p = sub.add_parser("gamma", help="embed a graph as a comma object over its presented group")
     p.add_argument("graph", help="graph JSON file")
@@ -204,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("coreflect", help="best graph approximation of a comma object")
     p.add_argument("object", help="comma object JSON file")
-    common(p, reads_groups=True)
+    common(p)
     p.set_defaults(func=_cmd_coreflect)
 
     p = sub.add_parser("raag-reduce", help="canonical form of a word in a graph's presented group")
@@ -217,13 +188,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("commutation-graph", help="commutation graph of a finite group")
     p.add_argument("group", help="group JSON file")
-    common(p, reads_groups=True)
+    common(p)
     p.set_defaults(func=_cmd_commutation_graph)
 
     p = sub.add_parser("homs", help="enumerate homs from a graph into a graph or finite group")
     p.add_argument("graph", help="domain graph JSON file")
     p.add_argument("target", help="codomain graph or group JSON file")
-    common(p, reads_groups=True)
+    common(p)
     p.set_defaults(func=_cmd_homs)
 
     p = sub.add_parser("check", help="run named verification suites")

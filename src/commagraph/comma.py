@@ -29,7 +29,6 @@ from typing import Mapping
 from .errors import InvalidHom, MalformedInput, MissingImage, NotFactorable, NotFiniteTarget, ObjectMismatch
 from .graphs import Graph, GraphHom, is_graph_hom, make_graph_hom
 from .groups import (
-    CLOSURE_DEFAULT_CAP,
     FiniteGroup,
     GroupHandle,
     GroupHom,
@@ -255,11 +254,11 @@ def comma_object_to_json(w: CommaObject) -> dict:
     }
 
 
-def comma_object_from_json(data: object, closure_cap: int = CLOSURE_DEFAULT_CAP) -> CommaObject:
+def comma_object_from_json(data: object) -> CommaObject:
     if not isinstance(data, dict) or not {"gens", "target", "images"} <= set(data):
         raise MalformedInput('a comma object needs "gens", "target" and "images"')
     gens = finite_set_from_json(data["gens"])
-    target = group_from_json(data["target"], closure_cap=closure_cap)
+    target = group_from_json(data["target"])
     images_data = data["images"]
     if not isinstance(images_data, dict):
         raise MalformedInput('"images" must be an object keyed by generator')

@@ -54,7 +54,7 @@ from .sets import FiniteSet, finite_set_from_json, make_set
 
 Word = tuple[tuple[str, int], ...]
 
-CLOSURE_DEFAULT_CAP = 1000  # elements; the table then has at most 10^6 entries
+CLOSURE_CAP = 1000  # elements; the table then has at most 10^6 entries
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +447,6 @@ def _permutation_label(perm: tuple[int, ...]) -> str:
 def finite_group_from_permutations(
     degree: int,
     generators: Iterable[Sequence[int]],
-    cap: int = CLOSURE_DEFAULT_CAP,
 ) -> FiniteGroup:
     """Close a set of permutations of {1..degree} under composition.
 
@@ -458,9 +457,15 @@ def finite_group_from_permutations(
     it, so the product table follows from the closure's own edges,
     a * x = (a * parent(x)) * g: n * |gens| compositions of permutations
     and n^2 integer lookups.
+
+    Raises OrderCapExceeded for a degree or a closure above CLOSURE_CAP.
     """
     if type(degree) is not int or degree < 0:
         raise MalformedInput(f"a permutation degree must be a non-negative integer, not {degree!r}")
+    # at most CLOSURE_CAP elements of at most CLOSURE_CAP points each: the
+    # closure's own permutations stay within the table's 10^6 entries
+    if degree > CLOSURE_CAP:
+        raise OrderCapExceeded(f"degree {degree} exceeds the cap of {CLOSURE_CAP} points")
     points = list(range(1, degree + 1))
     gens: list[tuple[int, ...]] = []
     for g in generators:
@@ -471,8 +476,6 @@ def finite_group_from_permutations(
         ):
             raise NotAPermutation(f"{g!r} is not a permutation of 1..{degree}")
         gens.append(tuple(g))
-    if cap < 1:  # the identity alone already exceeds it
-        raise OrderCapExceeded(f"closure exceeded the cap of {cap} elements")
 
     ident = tuple(points)
     found = [ident]
@@ -485,8 +488,8 @@ def finite_group_from_permutations(
             q = tuple(p[i - 1] for i in g)
             y = index.get(q)
             if y is None:
-                if len(found) >= cap:
-                    raise OrderCapExceeded(f"closure exceeded the cap of {cap} elements")
+                if len(found) >= CLOSURE_CAP:
+                    raise OrderCapExceeded(f"closure exceeded the cap of {CLOSURE_CAP} elements")
                 y = index[q] = len(found)
                 found.append(q)
                 steps.append((x, j))
@@ -741,7 +744,9 @@ def group_to_json(h: GroupHandle) -> dict:
     }
 
 
-def group_from_json(data: object, closure_cap: int = CLOSURE_DEFAULT_CAP) -> GroupHandle:
+def group_from_json(data: object) -> GroupHandle:
+    """A presented ("raag", "free") or finite ("cayley", "perm") group; a
+    "perm" group's degree and closure are each capped at CLOSURE_CAP."""
     if not isinstance(data, dict) or "type" not in data:
         raise MalformedInput('a group must be an object with a "type" field')
     kind = data["type"]
@@ -763,5 +768,5 @@ def group_from_json(data: object, closure_cap: int = CLOSURE_DEFAULT_CAP) -> Gro
         degree, gens = data["degree"], data["generators"]
         if not isinstance(degree, int) or not isinstance(gens, list):
             raise MalformedInput('"degree" must be an integer and "generators" an array')
-        return finite_group_from_permutations(degree, gens, cap=closure_cap)
+        return finite_group_from_permutations(degree, gens)
     raise MalformedInput(f"unknown group type {kind!r}")

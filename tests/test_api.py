@@ -1,12 +1,13 @@
 """No public function of the package has its own test as its only caller,
-no suite bound is set only by tests, and every name the benchmark's tracer
-wraps still exists."""
+no suite bound or CLI option is set only by tests, and every name the
+benchmark's tracer wraps still exists."""
 
+import argparse
 import ast
 import importlib
 from pathlib import Path
 
-from commagraph import verify
+from commagraph import cli, verify
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "commagraph"
@@ -80,6 +81,27 @@ def test_every_suite_bound_has_a_caller():
         if bound not in named
     ]
     assert unset == []
+
+
+def _long_options(parser: argparse.ArgumentParser) -> set[str]:
+    options = set()
+    for action in parser._actions:
+        options.update(s for s in action.option_strings if s.startswith("--"))
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                options |= _long_options(sub)
+    return options - {"--help"}
+
+
+def test_every_cli_option_has_a_caller():
+    """An option that only tests pass is a constant, not an option."""
+    passed = {
+        node.value
+        for path in [*sorted((ROOT / "perfbench").glob("*.py")), *sorted((ROOT / "scripts").glob("*.py"))]
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+    assert sorted(_long_options(cli._PARSER) - passed) == []
 
 
 def test_every_traced_name_resolves(monkeypatch):

@@ -534,19 +534,36 @@ def test_permutation_closure_rejects_non_permutation():
         finite_group_from_permutations(3, [(1, 2)])
 
 
+def _cycle(start: int, length: int, degree: int) -> list[int]:
+    """The cycle start -> start+1 -> ... -> start+length-1 -> start on 1..degree."""
+    image = list(range(1, degree + 1))
+    for i in range(start, start + length):
+        image[i - 1] = start + (i - start + 1) % length
+    return image
+
+
 def test_permutation_closure_cap():
+    # C8 x C125 on 133 points has exactly CLOSURE_CAP elements;
+    # C7 x C11 x C13 on 31 points has one more and is refused mid-closure
+    assert len(finite_group_from_permutations(133, [_cycle(1, 8, 133), _cycle(9, 125, 133)]).elements) == 1000
     with pytest.raises(OrderCapExceeded):
-        finite_group_from_permutations(3, [(2, 1, 3), (2, 3, 1)], cap=3)
+        finite_group_from_permutations(31, [_cycle(1, 7, 31), _cycle(8, 11, 31), _cycle(19, 13, 31)])
+
+
+def test_closure_cap_bounds_the_degree():
+    assert len(finite_group_from_permutations(1000, []).elements) == 1
+    with pytest.raises(OrderCapExceeded):
+        finite_group_from_permutations(1001, [])
 
 
 def test_closure_cap_below_one_is_refused():
-    # the identity alone exceeds such a cap, even with no generators
+    # the cap is the constant CLOSURE_CAP, so no call can lower it
     for cap in (0, -5):
-        with pytest.raises(OrderCapExceeded):
+        with pytest.raises(TypeError):
             group_from_json({"type": "perm", "degree": 2, "generators": []}, closure_cap=cap)
-        with pytest.raises(OrderCapExceeded):
+        with pytest.raises(TypeError):
             finite_group_from_permutations(2, [(2, 1)], cap=cap)
-    trivial = group_from_json({"type": "perm", "degree": 2, "generators": []}, closure_cap=1)
+    trivial = group_from_json({"type": "perm", "degree": 2, "generators": []})
     assert trivial.elements.labels == ("12",)
 
 

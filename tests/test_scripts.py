@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -28,3 +30,11 @@ def test_run_checks_small_sweep_passes():
     assert result.returncode == 0, result.stderr
     reports = json.loads(result.stdout)
     assert reports and all(report["passed"] for report in reports)
+
+
+@pytest.mark.parametrize("flag, value", [("--max-word-len", "8"), ("--max-unit-iso", "6")])
+def test_run_checks_refuses_a_bad_bound_before_running(flag, value):
+    result = run_script("run_checks.py", flag, value)
+    assert result.returncode == 3 and result.stdout == ""
+    assert result.stderr.startswith("usage error: ") and result.stderr.count("\n") == 1
+    assert "Traceback" not in result.stderr
