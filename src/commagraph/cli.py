@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
@@ -181,8 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("raag-reduce", help="canonical form of a word in a graph's presented group")
     common(p)
     p.add_argument("graph", help="presentation graph JSON file")
-    # REMAINDER so inverse tokens like -a are not mistaken for flags; put
-    # options before the graph argument.
+    # main hands argparse only the arguments up to the graph (_split_word) and
+    # sets the word itself; the positional stays for -h and the usage line.
     p.add_argument("word", nargs=argparse.REMAINDER, help='word tokens, "-" prefix for inverses')
     p.set_defaults(func=_cmd_raag_reduce)
 
@@ -209,11 +210,70 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 _PARSER = build_parser()  # parse_args keeps no state, so one parser serves every call
+# raag-reduce's option strings, each with whether it takes a value
+_RAAG_REDUCE_OPTIONS = {
+    option: action.nargs != 0
+    for sub in _PARSER._actions
+    if isinstance(sub, argparse._SubParsersAction)
+    for action in sub.choices["raag-reduce"]._actions
+    for option in action.option_strings
+}
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")  # argparse reads these as positionals
+
+
+def _takes_value(token: str) -> bool | None:
+    """How argparse (ArgumentParser._parse_optional) reads a raag-reduce
+    argument: None for a positional, else whether the option it names takes
+    the next argument as its value.  Long options may be abbreviated, and a
+    value given as --name=VALUE, or -xVALUE for a short one, is part of the
+    token.  An unknown option takes no value; argparse refuses it later."""
+    options = _RAAG_REDUCE_OPTIONS
+    if token in options:
+        return options[token]
+    if len(token) < 2 or token[0] != "-":
+        return None
+    if token[1] == "-":
+        name, eq, _ = token.partition("=")
+        prefixed = [option for option in options if option.startswith(name)]
+        if prefixed:
+            return not eq and options[prefixed[0]]
+    elif token[:2] in options:
+        return False
+    if _NEGATIVE_NUMBER.match(token) or " " in token:
+        return None
+    return False
+
+
+def _split_word(argv: list[str]) -> tuple[list[str], list[str]]:
+    """A raag-reduce argv up to and including the graph, and the word tokens
+    after it; any other argv, whole, and no word.  argparse does work for
+    every argument it is given, though nargs=REMAINDER hands the word back
+    as it came: on a 2,000-letter word, most of the call.  The graph is
+    found as argparse finds it, past the options and their values.  A bare
+    -- before the graph, or else just after it, goes to argparse, which
+    drops it."""
+    if argv[:1] != ["raag-reduce"]:
+        return argv, []
+    i, dashed = 1, False
+    while i < len(argv):
+        if argv[i] == "--" and not dashed:
+            dashed = True
+            i += 1
+            continue
+        takes = None if dashed else _takes_value(argv[i])
+        if takes is None:
+            end = i + 2 if not dashed and argv[i + 1:i + 2] == ["--"] else i + 1
+            return argv[:end], argv[end:]
+        i += 2 if takes else 1
+    return argv, []
 
 
 def main(argv=None) -> int:
     try:
+        argv, word = _split_word(sys.argv[1:] if argv is None else list(argv))
         args = _PARSER.parse_args(argv)
+        if word:
+            args.word = word
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -141,20 +141,23 @@ class _RaagEngine:
     Generator i gets codes 2i (positive) and 2i+1 (inverse), so the inverse
     of a code is code^1 and its generator is code>>1.  blocking[i] holds i
     and its non-neighbours: the generators a letter of i never moves past.
-    letter_adjacent, which only the oracles read, says which codes commute.
+    letter_adjacent, which only the oracles read, says which codes commute;
+    it is built on its first read, since reducing a word never needs it.
     Words enter through encode, the one place their letters are checked.
     """
-
-    __slots__ = ("labels", "positions", "blocking", "letter_adjacent")
 
     def __init__(self, graph: Graph):
         self.labels = graph.vertices.labels
         self.positions = graph.vertices.positions
+        self.neighbours = graph.neighbours
         n = len(self.labels)
-        self.blocking = [tuple(h for h in range(n) if h not in graph.neighbours[g]) for g in range(n)]
-        self.letter_adjacent = [
-            [(b >> 1) in graph.neighbours[a >> 1] for b in range(2 * n)] for a in range(2 * n)
-        ]
+        self.blocking = [tuple(h for h in range(n) if h not in self.neighbours[g]) for g in range(n)]
+
+    @cached_property
+    def letter_adjacent(self) -> list[list[bool]]:
+        neighbours = self.neighbours
+        codes = range(2 * len(neighbours))
+        return [[(b >> 1) in neighbours[a >> 1] for b in codes] for a in codes]
 
     def encode(self, w: Iterable) -> tuple[int, ...]:
         enc = []

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given
@@ -12,6 +16,7 @@ EDGE = {"vertices": ["a", "b"], "edges": [["a", "b"]]}
 DISCRETE2 = {"vertices": ["a", "b"], "edges": []}
 S3 = {"type": "perm", "degree": 3, "generators": [[2, 1, 3], [2, 3, 1]]}
 C2 = {"type": "cayley", "elements": ["e", "g"], "table": [["e", "g"], ["g", "e"]]}
+ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.fixture
@@ -99,6 +104,147 @@ def test_raag_reduce_unknown_generator(write, capsys):
     code, _, err = run(capsys, "raag-reduce", write("edge.json", EDGE), "z")
     assert code == 2
     assert "UnknownGenerator" in err
+
+
+def _reduced(*tokens):
+    return json.dumps({"reduced": list(tokens), "identity": not tokens}, indent=2) + "\n"
+
+
+RAAG_REDUCE_HELP = """\
+usage: commagraph raag-reduce [-h] [--output OUTPUT] graph ...
+
+positional arguments:
+  graph            presentation graph JSON file
+  word             word tokens, "-" prefix for inverses
+
+options:
+  -h, --help       show this help message and exit
+  --output OUTPUT  write the JSON result to this file instead of stdout
+"""
+REQUIRED = "usage error: the following arguments are required: graph, word\n"
+EXPECTED_ONE = "usage error: argument --output: expected one argument\n"
+NO_LETTERS, ONE_LETTER = "reduced 0 letters to 0\n", "reduced 1 letters to 1\n"
+
+# How raag-reduce reads its argv: (arguments after the subcommand, exit code,
+# stdout, stderr, bytes written to F or None).  g is the free group on a and
+# b; both g and F are names in an otherwise empty working directory.
+RAAG_REDUCE_ARGV = [
+    ([], 3, "", REQUIRED, None),
+    (["g"], 0, _reduced(), NO_LETTERS, None),
+    (["g", "a", "-a", "b"], 0, _reduced("b"), "reduced 3 letters to 1\n", None),
+    # options go before the graph, as argparse reads them
+    (["--output", "F", "g", "a"], 0, "", ONE_LETTER, _reduced("a")),
+    (["--output=F", "g", "a"], 0, "", ONE_LETTER, _reduced("a")),
+    (["--out", "F", "g", "a"], 0, "", ONE_LETTER, _reduced("a")),
+    (["--o", "F", "g", "a"], 0, "", ONE_LETTER, _reduced("a")),
+    (["--ou=F", "g", "a"], 0, "", ONE_LETTER, _reduced("a")),
+    (["--output", "F", "--output", "F", "g", "a"], 0, "", ONE_LETTER, _reduced("a")),
+    (["--output=", "g", "a"], 0, _reduced("a"), ONE_LETTER, None),
+    (["--output", "g"], 3, "", REQUIRED, None),
+    (["--output", "--", "g", "a"], 3, "", EXPECTED_ONE, None),
+    (["--output", "-a", "g"], 3, "", EXPECTED_ONE, None),
+    # every token after the graph is a word token
+    (["g", "--output", "F", "a"], 2, "", "error: UnknownGenerator: '-output' is not a generator of this group\n", None),
+    (["g", "a", "--output", "F"], 2, "", "error: UnknownGenerator: '-output' is not a generator of this group\n", None),
+    (["g", "a", "--help"], 2, "", "error: UnknownGenerator: '-help' is not a generator of this group\n", None),
+    (["g", "-h"], 2, "", "error: UnknownGenerator: 'h' is not a generator of this group\n", None),
+    (["g", "--closure-cap"], 2, "", "error: UnknownGenerator: '-closure-cap' is not a generator of this group\n", None),
+    (["g", "-"], 2, "", "error: MalformedInput: bad word token '-'\n", None),
+    (["g", ""], 2, "", "error: MalformedInput: bad word token ''\n", None),
+    (["g", "a", "-", "b"], 2, "", "error: MalformedInput: bad word token '-'\n", None),
+    # a bare -- before the graph, or else just after it, is dropped; any later one is a word token
+    (["g", "--", "a"], 0, _reduced("a"), ONE_LETTER, None),
+    (["g", "--", "-a"], 0, _reduced("-a"), ONE_LETTER, None),
+    (["g", "--"], 0, _reduced(), NO_LETTERS, None),
+    (["--", "g", "a"], 0, _reduced("a"), ONE_LETTER, None),
+    (["--", "g"], 0, _reduced(), NO_LETTERS, None),
+    (["g", "--", "--", "a"], 2, "", "error: UnknownGenerator: '-' is not a generator of this group\n", None),
+    (["g", "a", "--", "b"], 2, "", "error: UnknownGenerator: '-' is not a generator of this group\n", None),
+    (["--output", "F", "--", "g", "--", "a"], 2, "", "error: UnknownGenerator: '-' is not a generator of this group\n", None),
+    (["--", "-a", "b"], 2, "", "error: [Errno 2] No such file or directory: '-a'\n", None),
+    (["--", "--", "g"], 2, "", "error: [Errno 2] No such file or directory: '--'\n", None),
+    # argparse reads these as the graph, not as options
+    (["-", "a"], 2, "", "error: [Errno 2] No such file or directory: '-'\n", None),
+    (["-1", "g"], 2, "", "error: [Errno 2] No such file or directory: '-1'\n", None),
+    (["-a b", "g"], 2, "", "error: [Errno 2] No such file or directory: '-a b'\n", None),
+    # help, and unknown options before the graph
+    (["-h"], 0, RAAG_REDUCE_HELP, "", None),
+    (["--help"], 0, RAAG_REDUCE_HELP, "", None),
+    (["--h", "g"], 0, RAAG_REDUCE_HELP, "", None),
+    (["-hx", "g"], 3, "", "usage error: argument -h/--help: ignored explicit argument 'x'\n", None),
+    (["--closure-cap", "3", "g"], 3, "", "usage error: unrecognized arguments: --closure-cap\n", None),
+    (["-a", "g"], 3, "", "usage error: unrecognized arguments: -a\n", None),
+    (["-x", "g"], 3, "", "usage error: unrecognized arguments: -x\n", None),
+    (["-a", "-b", "g", "a"], 3, "", "usage error: unrecognized arguments: -a -b\n", None),
+    (["-a", "--", "g", "a"], 3, "", "usage error: unrecognized arguments: -a\n", None),
+    (["--outputx", "g"], 3, "", "usage error: unrecognized arguments: --outputx\n", None),
+    (["--outputx=3", "g", "a"], 3, "", "usage error: unrecognized arguments: --outputx=3\n", None),
+    # no graph
+    (["--output"], 3, "", EXPECTED_ONE, None),
+    (["--output", "F"], 3, "", REQUIRED, None),
+    (["--output", "F", "--"], 3, "", REQUIRED, None),
+    (["--"], 3, "", REQUIRED, None),
+    (["-a"], 3, "", REQUIRED, None),
+]
+
+
+def _raag_reduce_call(capsys, tmp_path, argv):
+    """(exit code, stdout, stderr, bytes written to F) of one raag-reduce call
+    run in tmp_path; help exits through SystemExit, as argparse makes it."""
+    (tmp_path / "g").write_text(json.dumps(DISCRETE2))
+    saved = tmp_path / "F"
+    saved.unlink(missing_ok=True)
+    try:
+        code = main(["raag-reduce", *argv])
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, saved.read_text() if saved.exists() else None
+
+
+@pytest.fixture
+def contract_dir(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")  # the help text wraps to the terminal width
+    return tmp_path
+
+
+@pytest.mark.parametrize("argv, code, out, err, saved", RAAG_REDUCE_ARGV, ids=[repr(argv) for argv, *_ in RAAG_REDUCE_ARGV])
+def test_raag_reduce_argv_contract(capsys, contract_dir, argv, code, out, err, saved):
+    assert _raag_reduce_call(capsys, contract_dir, argv) == (code, out, err, saved)
+
+
+def test_argv_contract_catches_a_split_that_does_not_skip_option_values(capsys, contract_dir, monkeypatch):
+    from commagraph import cli
+
+    # --output F g a would then take F for the graph
+    monkeypatch.setitem(cli._RAAG_REDUCE_OPTIONS, "--output", False)
+    broken = [argv for argv, *want in RAAG_REDUCE_ARGV if _raag_reduce_call(capsys, contract_dir, argv) != tuple(want)]
+    assert ["--output", "F", "g", "a"] in broken
+
+
+def test_raag_reduce_hands_argparse_only_the_argv_up_to_the_graph(write, capsys, monkeypatch, tmp_path):
+    from commagraph import cli
+
+    seen = []
+    parse_args = cli._PARSER.parse_args
+    monkeypatch.setattr(cli._PARSER, "parse_args", lambda argv: seen.append(argv) or parse_args(argv))
+    edge, saved = write("edge.json", EDGE), str(tmp_path / "saved.json")
+    code, out, _ = run(capsys, "raag-reduce", "--output", saved, edge, *["a", "-b"] * 1000)
+    assert code == 0 and out == ""
+    assert seen == [["raag-reduce", "--output", saved, edge]]
+    assert json.loads((tmp_path / "saved.json").read_text())["reduced"] == ["a"] * 1000 + ["-b"] * 1000
+
+
+def test_module_entry_point_reads_sys_argv_like_main(write, capsys):
+    argv = ["raag-reduce", write("disc.json", DISCRETE2), "a", "b", "-a"]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "commagraph", *argv], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == run(capsys, *argv)
+    assert proc.stdout == _reduced("a", "b", "-a")
 
 
 def test_commutation_graph_c2(write, capsys):
