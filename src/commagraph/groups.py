@@ -5,16 +5,19 @@ generators, whose letters are checked once, where the engine encodes them.
 Equality of RAAG elements is decided by a one-pass cancellation engine,
 O(n*k) for n letters over k generators (Wrathall 1988), which each
 presented group builds once and holds (Raag.engine), and double-checked
-elsewhere by two oracles that use none of it.  A rewriting (swaps of
-adjacent commuting letters, free cancellations) builds every identity word
-of each length once, inserting an inverse pair into the shorter ones and
-closing under swaps, so a short word is tested by a lookup.  The faithful
-Tits representation of a right-angled Coxeter group that contains the RAAG
-(Davis-Januszkiewicz 2000) tests a word of any length in O(n*k), on exact
-integers.  Reduced words are put into a canonical form, the
-lexicographically least word obtainable by swapping adjacent commuting
-letters, in O(n*k + n log n); two words denote the same element iff they
-reduce to the same canonical form.
+elsewhere by two oracles that use none of it.  The engine's one step folds
+letters into a cancellation state and has an exact undo, so a walk over
+many words that share prefixes redoes only the letters that change.  A
+rewriting (swaps of adjacent commuting letters, free cancellations) builds
+every identity word of each length once, inserting an inverse pair into the
+shorter ones and closing under swaps, so a short word is tested by a
+lookup.  The faithful Tits representation of a right-angled Coxeter group
+that contains the RAAG (Davis-Januszkiewicz 2000) tests a word of any
+length in O(n*k), on exact integers, each reflection moving only the
+coordinates of the reflections it does not commute with.  Reduced words are
+put into a canonical form, the lexicographically least word obtainable by
+swapping adjacent commuting letters, in O(n*k + n log n); two words denote
+the same element iff they reduce to the same canonical form.
 
 Finite groups keep their Cayley table as rows of element indices, read
 through the element set's label positions; labels appear only where
@@ -53,6 +56,7 @@ from .graphs import Graph, discrete, graph_from_json, graph_to_json
 from .sets import FiniteSet, finite_set_from_json, make_set
 
 Word = tuple[tuple[str, int], ...]
+Cancellation = tuple[list[int], list[int], list[int], list[int]]  # see _RaagEngine.fresh_state
 
 CLOSURE_CAP = 1000  # elements; the table then has at most 10^6 entries
 
@@ -142,7 +146,8 @@ class _RaagEngine:
     of a code is code^1 and its generator is code>>1.  blocking[i] holds i
     and its non-neighbours: the generators a letter of i never moves past.
     letter_adjacent, which only the oracles read, says which codes commute;
-    it is built on its first read, since reducing a word never needs it.
+    it and the Tits oracle's noncommuting lists derived from it are built on
+    their first read, since reducing a word never needs them.
     Words enter through encode, the one place their letters are checked.
     """
 
@@ -159,6 +164,15 @@ class _RaagEngine:
         codes = range(2 * len(neighbours))
         return [[(b >> 1) in neighbours[a >> 1] for b in codes] for a in codes]
 
+    @cached_property
+    def noncommuting(self) -> list[list[int]]:
+        """For each code, the other codes it does not commute with, read from
+        letter_adjacent on the first oracle read."""
+        return [
+            [t for t, commutes in enumerate(row) if not commutes and t != s]
+            for s, row in enumerate(self.letter_adjacent)
+        ]
+
     def encode(self, w: Iterable) -> tuple[int, ...]:
         enc = []
         for gen, sign in as_word(w):
@@ -171,16 +185,25 @@ class _RaagEngine:
     def decode(self, enc: Sequence[int]) -> Word:
         return tuple((self.labels[c >> 1], 1 if c % 2 == 0 else -1) for c in enc)
 
-    def cancel_fixpoint(self, enc: Sequence[int]) -> list[int]:
-        """A cancellation-free word for the same element in one left-to-right
-        pass, O(n*k) for n letters over k generators: x cancels the last kept
-        letter of its generator (top of a stack linked through below) when
-        that is x^-1 and no blocking generator has a kept letter after it."""
-        kept: list[int] = []
-        below: list[int] = []
-        top = [-1] * len(self.labels)
+    def fresh_state(self) -> Cancellation:
+        """The cancellation state of the empty word: (kept, below, top,
+        cancelled).  kept holds every pushed letter that cancelled nothing,
+        marked -1 in place once a later letter cancels it; the others are
+        live.  top[g] is the position of g's last live letter, below[i] that
+        of the live letter of the same generator under position i, -1 for
+        none.  cancelled logs the position each cancellation killed, the one
+        thing undo cannot read back from the rest; as each cancellation kills
+        one live letter, the live letters number len(kept) - len(cancelled)."""
+        return [], [], [-1] * len(self.labels), []
+
+    def push(self, state: Cancellation, letters: Iterable[int]) -> None:
+        """Fold letters into state, left to right, in O(k) each over k
+        generators (Wrathall 1988): x cancels the last live letter of its
+        generator when that is x^-1 and no blocking generator has a live
+        letter after it; otherwise x is kept."""
+        kept, below, top, cancelled = state
         blocking = self.blocking
-        for c in enc:
+        for c in letters:
             g = c >> 1
             p = top[g]
             if p >= 0 and kept[p] == c ^ 1:
@@ -190,11 +213,35 @@ class _RaagEngine:
                 else:
                     kept[p] = -1
                     top[g] = below[p]
+                    cancelled.append(p)
                     continue
             below.append(p)
             top[g] = len(kept)
             kept.append(c)
-        return [c for c in kept if c >= 0]
+
+    def undo(self, state: Cancellation, letters: Sequence[int]) -> None:
+        """Take back the pushes of letters, the last letters pushed, so that
+        state is exactly what it was before them.  A pushed x was kept iff
+        its generator's top is the last position: a kept x becomes that top,
+        and a cancelling x moves it below the letter it killed."""
+        kept, below, top, cancelled = state
+        for c in reversed(letters):
+            g = c >> 1
+            if top[g] == len(kept) - 1:
+                kept.pop()
+                top[g] = below.pop()
+            else:
+                p = cancelled.pop()
+                kept[p] = c ^ 1
+                top[g] = p
+
+    def cancel_fixpoint(self, enc: Sequence[int]) -> list[int]:
+        """A cancellation-free word for the same element in one left-to-right
+        pass, O(n*k) for n letters over k generators: the live letters of
+        enc pushed into a fresh state."""
+        state = self.fresh_state()
+        self.push(state, enc)
+        return [c for c in state[0] if c >= 0]
 
     def is_identity(self, enc: Sequence[int]) -> bool:
         return not self.cancel_fixpoint(enc)
@@ -246,15 +293,18 @@ class _RaagEngine:
         f[t] -= 2*B(s,t)*f[s], B being 1 on the diagonal, -1 between
         non-commuting reflections and 0 between commuting ones.  The chamber
         action is simply transitive (Bourbaki, ch. V 4): the word is trivial
-        iff f comes back.  The form reads letter_adjacent, never blocking."""
-        letter_adjacent = self.letter_adjacent
-        f = [1] * len(letter_adjacent)
+        iff f comes back.  The form reads letter_adjacent only, through
+        noncommuting, each reflection's list of the others it does not
+        commute with, so a reflection moves just the entries where B is
+        nonzero; it never reads blocking."""
+        noncommuting = self.noncommuting
+        f = [1] * len(noncommuting)
         for c in enc:
             for s in (c, c ^ 1):
                 fs = f[s]
-                for t, commutes in enumerate(letter_adjacent[s]):
-                    if not commutes:
-                        f[t] += 2 * fs
+                twice = 2 * fs
+                for t in noncommuting[s]:
+                    f[t] += twice
                 f[s] = -fs  # B(s,s) = 1
         return all(x == 1 for x in f)
 

@@ -267,41 +267,60 @@ def _word_differential(
     then on a seeded batch of random words over random graphs.
 
     The exhaustive phase reads a swap-and-cancel rewriting upward: each
-    graph's identity words of every length are built once, and each word's
-    verdict is a set lookup.  The random phase, whose graphs and lengths
-    would make those sets far too large, tests each word in the Tits
-    representation of a right-angled Coxeter group, linear in its length.
-    Its graphs are drawn one edge at a time, as bits over the pairs in
-    graphs_on's order, and each distinct one, of at most 2^C(n,2) on n
-    labels, is built once per call: a table keyed by the vertex count and
-    the bits holds its Raag, which owns the engine."""
+    graph's identity words of every length are built once, and each word is
+    looked up in them.  The engine walks each length's words in product
+    order with one cancellation state, as an odometer turns: it undoes the
+    letters from the last one that moved and pushes the new ones, and a word
+    is trivial iff no letter of the state is live.  The random phase, whose
+    graphs and lengths would make those sets far too large, tests each word
+    in the Tits representation of a right-angled Coxeter group, linear in
+    its length, against the engine's is_identity.  Its graphs are drawn one
+    edge at a time, as bits over the pairs in graphs_on's order, and each
+    distinct one, of at most 2^C(n,2) on n labels, is built once per call: a
+    table keyed by the vertex count and the bits holds its Raag, which owns
+    the engine."""
 
-    def verdict(raag: Raag, codes: tuple[int, ...], oracle: bool) -> dict | None:
-        fast = raag.engine.is_identity(codes)
-        if fast == oracle:
-            return None
+    def disagreement(raag: Raag, codes: tuple[int, ...], fast: bool, oracle: bool) -> dict:
         presentation = graph_to_json(raag.presentation)
         word = word_to_tokens(raag.engine.decode(codes))
         return {"presentation": presentation, "word": word, "fast": fast, "oracle": oracle}
 
     for g in graphs_up_to(max_vertices):
         raag = Raag(g)
-        trivial = raag.engine.oracle_identity_words(max_len)
+        engine = raag.engine
+        push, undo = engine.push, engine.undo
+        trivial = engine.oracle_identity_words(max_len)
         letters = range(2 * len(g.vertices))
         for length in range(max_len + 1):
+            identities = trivial[length]
+            state = engine.fresh_state()
+            kept, _, _, cancelled = state
+            last: tuple[int, ...] = ()
             for codes in product(letters, repeat=length):
-                yield verdict(raag, codes, codes in trivial[length])
+                # the letters after the last nonzero one wrapped round to 0,
+                # so the word is new from that one on (from 0 at the first word)
+                i = length - 1
+                while i > 0 and not codes[i]:
+                    i -= 1
+                undo(state, last[i:])
+                push(state, codes[i:])
+                last = codes
+                fast = len(kept) == len(cancelled)
+                oracle = codes in identities
+                yield None if fast == oracle else disagreement(raag, codes, fast, oracle)
 
     raags = {}  # (n, bits) -> the group that graph presents
+    randint, uniform, randrange = rng.randint, rng.random, rng.randrange
     for _ in range(random_words):
-        n = rng.randint(1, _RANDOM_MAX_VERTICES)
-        bits = sum(1 << k for k in range(comb(n, 2)) if rng.random() < 0.5)
+        n = randint(1, _RANDOM_MAX_VERTICES)
+        bits = sum([1 << k for k in range(comb(n, 2)) if uniform() < 0.5])
         if (n, bits) not in raags:
             raags[n, bits] = Raag(_labelled_graph(n, bits))
         raag = raags[n, bits]
-        length = rng.randint(0, _RANDOM_MAX_LEN)
-        codes = tuple(rng.randrange(2 * n) for _ in range(length))
-        yield verdict(raag, codes, raag.engine.oracle_is_identity(codes))
+        length = randint(0, _RANDOM_MAX_LEN)
+        codes = tuple([randrange(2 * n) for _ in range(length)])
+        fast, oracle = raag.engine.is_identity(codes), raag.engine.oracle_is_identity(codes)
+        yield None if fast == oracle else disagreement(raag, codes, fast, oracle)
 
 
 def _exhaustive_words(max_vertices: int, max_len: int, **_) -> int:

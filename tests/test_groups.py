@@ -206,6 +206,54 @@ def test_oracle_identity_words_agree_with_tits_oracle():
                     assert in_set == engine.oracle_is_identity(codes), (g, codes)
 
 
+def _folded(engine, word):
+    state = engine.fresh_state()
+    engine.push(state, word)
+    return state
+
+
+def test_undo_is_an_exact_inverse_of_push():
+    # every word of length <= 5 over every labeled graph on <= 3 vertices,
+    # pushed and undone one letter at a time, depth first: after each step
+    # the state is the fold of the current word over a fresh state
+    for g in graphs_up_to(3):
+        engine = Raag(g).engine
+        letters = range(2 * len(g.vertices))
+        state = engine.fresh_state()
+
+        def walk(word):
+            assert state == _folded(engine, word), (g, word)
+            assert [c for c in state[0] if c >= 0] == engine.cancel_fixpoint(word)
+            if len(word) < 5:
+                for c in letters:
+                    engine.push(state, (c,))
+                    walk(word + (c,))
+                    engine.undo(state, (c,))
+                    assert state == _folded(engine, word), (g, word)
+
+        walk(())
+
+
+@settings(max_examples=200)
+@given(graphs(max_vertices=4, min_vertices=1), st.data())
+def test_undo_takes_back_several_letters_at_once(g, data):
+    # pushes and undos of several letters at a time, as an odometer walk makes them
+    engine = Raag(g).engine
+    letters = st.integers(0, 2 * len(g.vertices) - 1)
+    state, word = engine.fresh_state(), ()
+    for _ in range(data.draw(st.integers(1, 12))):
+        if word and data.draw(st.booleans()):
+            rest = len(word) - data.draw(st.integers(1, len(word)))
+            engine.undo(state, word[rest:])
+            word = word[:rest]
+        else:
+            more = tuple(data.draw(st.lists(letters, min_size=1, max_size=4)))
+            engine.push(state, more)
+            word += more
+        assert state == _folded(engine, word), (g, word)
+        assert [c for c in state[0] if c >= 0] == engine.cancel_fixpoint(word)
+
+
 def test_engine_belongs_to_its_raag_and_changes_no_equality():
     r = edge_raag()
     engine = r.engine

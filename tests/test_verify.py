@@ -139,7 +139,45 @@ def _replayed_verdict(ce) -> bool:
     return fast
 
 
+def _mutated_push(cancels):
+    """The engine's push step with its cancellation test replaced: x cancels
+    the last live letter y of its generator iff cancels(self, state, x, y)."""
+
+    def push(self, state, letters):
+        kept, below, top, cancelled = state
+        for c in letters:
+            g = c >> 1
+            p = top[g]
+            if p >= 0 and cancels(self, state, c, p):
+                kept[p] = -1
+                top[g] = below[p]
+                cancelled.append(p)
+                continue
+            below.append(p)
+            top[g] = len(kept)
+            kept.append(c)
+
+    return push
+
+
 def test_word_differential_mutation_is_caught(monkeypatch):
+    from commagraph.groups import _RaagEngine
+
+    def lying(self, state, c, p):
+        # a letter also cancels its own copy, so a.a reads as the identity
+        kept, _, top, _ = state
+        return kept[p] in (c, c ^ 1) and all(top[h] <= p for h in self.blocking[c >> 1])
+
+    monkeypatch.setattr(_RaagEngine, "push", _mutated_push(lying))
+    report = verify.run_suite("word-differential", max_vertices=1, max_len=2, random_words=0)
+    assert not report.passed
+    ce = report.counterexample
+    assert ce["word"] == ["a", "a"]
+    monkeypatch.undo()
+    assert _replayed_verdict(ce) == ce["oracle"] != ce["fast"]
+
+
+def test_word_differential_random_phase_catches_a_lying_is_identity(monkeypatch):
     from commagraph.groups import _RaagEngine
 
     real = _RaagEngine.is_identity
@@ -149,10 +187,14 @@ def test_word_differential_mutation_is_caught(monkeypatch):
             return True
         return real(self, enc)
 
+    # the exhaustive phase reads its verdicts off the walked state, so only
+    # the random phase asks is_identity
     monkeypatch.setattr(_RaagEngine, "is_identity", lying)
-    report = verify.run_suite("word-differential", max_vertices=1, max_len=2, random_words=0)
+    assert verify.run_suite("word-differential", max_len=2, random_words=0).passed
+    report = verify.run_suite("word-differential", max_len=0)
     assert not report.passed
     ce = report.counterexample
+    assert len(ce["word"]) == 2 and ce["word"][0] == ce["word"][1]
     monkeypatch.undo()
     assert _replayed_verdict(ce) == ce["oracle"] != ce["fast"]
 
@@ -160,28 +202,58 @@ def test_word_differential_mutation_is_caught(monkeypatch):
 def test_word_differential_engine_blocking_mutation_is_caught(monkeypatch):
     from commagraph.groups import _RaagEngine
 
-    def no_blocking_check(self, enc):
-        # cancels against the last kept letter of the generator, past anything
-        kept: list[int] = []
-        below: list[int] = []
-        top = [-1] * len(self.labels)
-        for c in enc:
-            g = c >> 1
-            p = top[g]
-            if p >= 0 and kept[p] == c ^ 1:
-                kept[p] = -1
-                top[g] = below[p]
-                continue
-            below.append(p)
-            top[g] = len(kept)
-            kept.append(c)
-        return [c for c in kept if c >= 0]
+    def no_blocking_check(self, state, c, p):
+        # cancels against the last live letter of the generator, past anything
+        return state[0][p] == c ^ 1
 
-    monkeypatch.setattr(_RaagEngine, "cancel_fixpoint", no_blocking_check)
+    monkeypatch.setattr(_RaagEngine, "push", _mutated_push(no_blocking_check))
     report = verify.run_suite("word-differential", max_vertices=2, max_len=4, random_words=0)
     assert not report.passed
     ce = report.counterexample
     assert ce["presentation"]["edges"] == [] and ce["word"] == ["a", "b", "-a", "-b"]
+    monkeypatch.undo()
+    assert _replayed_verdict(ce) == ce["oracle"] != ce["fast"]
+
+
+def _mutated_undo(revive, restore_top):
+    """The engine's undo with a taken-back cancellation that may leave its
+    letter cancelled, and a taken-back kept letter that may leave its
+    generator with no top instead of the letter below it."""
+
+    def undo(self, state, letters):
+        kept, below, top, cancelled = state
+        for c in reversed(letters):
+            g = c >> 1
+            if top[g] == len(kept) - 1:
+                kept.pop()
+                p = below.pop()
+                top[g] = p if restore_top else -1
+            else:
+                p = cancelled.pop()
+                if revive:
+                    kept[p] = c ^ 1
+                top[g] = p
+
+    return undo
+
+
+@pytest.mark.parametrize(
+    "undo, window, word",
+    [
+        (_mutated_undo(revive=True, restore_top=False), 2, ["a", "-a"]),
+        (_mutated_undo(revive=False, restore_top=True), 4, ["a", "-a", "a", "-a"]),
+    ],
+    ids=["top-not-restored", "letter-not-revived"],
+)
+def test_word_differential_undo_mutation_is_caught(monkeypatch, undo, window, word):
+    from commagraph.groups import _RaagEngine
+
+    monkeypatch.setattr(_RaagEngine, "undo", undo)
+    assert verify.run_suite("word-differential", max_vertices=1, max_len=window - 1, random_words=0).passed
+    report = verify.run_suite("word-differential", max_vertices=1, max_len=window, random_words=0)
+    assert not report.passed
+    ce = report.counterexample
+    assert ce["presentation"] == {"vertices": ["a"], "edges": []} and ce["word"] == word
     monkeypatch.undo()
     assert _replayed_verdict(ce) == ce["oracle"] != ce["fast"]
 
@@ -235,6 +307,28 @@ def test_word_differential_tits_form_mutation_is_caught(monkeypatch, corrupt):
     ce = report.counterexample
     monkeypatch.undo()
     assert _replayed_verdict(ce) == ce["fast"] != ce["oracle"]
+
+
+def test_word_differential_random_words_are_pinned(monkeypatch):
+    # the random phase draws the same words in the same order: the first it
+    # gets wrong under one flipped entry of the Tits form, at seed 0
+    from commagraph.groups import _RaagEngine
+
+    real = _RaagEngine.__init__
+
+    def corrupted(self, graph):
+        real(self, graph)
+        _one_entry_flipped(self.letter_adjacent)
+
+    monkeypatch.setattr(_RaagEngine, "__init__", corrupted)
+    report = verify.run_suite("word-differential", seed=0, max_len=0)
+    assert report.cases_checked == 692  # the 12 empty words of the exhaustive phase, then 680 random ones
+    assert report.counterexample == {
+        "presentation": {"vertices": ["a", "b"], "edges": [["a", "b"]]},
+        "word": ["a", "-b", "a", "b", "-a", "-b", "-a", "-a", "b", "a"],
+        "fast": True,
+        "oracle": False,
+    }
 
 
 def test_word_differential_blocking_table_mutation_is_caught(monkeypatch):
