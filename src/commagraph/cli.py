@@ -31,9 +31,6 @@ from .groups import (
     enumerate_homs_raag_to_finite,
     group_from_json,
     group_to_json,
-    raag_reduce,
-    word_from_tokens,
-    word_to_tokens,
 )
 
 
@@ -87,27 +84,27 @@ def _note(message: str) -> None:
 
 def _cmd_gamma(args) -> int:
     g = graph_from_json(_load_json(args.graph))
-    w = embed_graph(g)
+    data = comma_object_to_json(embed_graph(g))
     _note(f"embedded a graph with {len(g.vertices)} vertices and {len(g.edges)} edges")
-    _emit(comma_object_to_json(w), args)
+    _emit(data, args)
     return 0
 
 
 def _cmd_coreflect(args) -> int:
     w = comma_object_from_json(_load_json(args.object))
     core = coreflect(w)
+    data = {"graph": graph_to_json(core.graph), "counit": comma_morphism_to_json(core.counit)}
     _note(f"coreflection graph has {len(core.graph.edges)} edges on {len(core.graph.vertices)} vertices")
-    _emit({"graph": graph_to_json(core.graph), "counit": comma_morphism_to_json(core.counit)}, args)
+    _emit(data, args)
     return 0
 
 
 def _cmd_raag_reduce(args) -> int:
-    g = graph_from_json(_load_json(args.graph))
-    raag = Raag(g)
-    word = word_from_tokens(args.word)
-    reduced = raag_reduce(raag, word)
-    _note(f"reduced {len(word)} letters to {len(reduced)}")
-    _emit({"reduced": word_to_tokens(reduced), "identity": reduced == ()}, args)
+    engine = Raag(graph_from_json(_load_json(args.graph))).engine
+    codes = engine.read_tokens(args.word)
+    reduced = engine.reduce(codes)
+    _note(f"reduced {len(codes)} letters to {len(reduced)}")
+    _emit({"reduced": engine.write_tokens(reduced), "identity": not reduced}, args)
     return 0
 
 

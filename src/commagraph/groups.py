@@ -130,12 +130,12 @@ class Raag:
         return self.engine.decode(self.engine.encode(value))
 
     def element_to_json(self, value: Word) -> list[str]:
-        return word_to_tokens(value)
+        return self.engine.write_tokens(self.engine.encode(value))
 
     def element_from_json(self, data) -> Word:
         if not isinstance(data, list):
             raise MalformedInput("an element of a presented group must be a word array")
-        return self.validate_element(word_from_tokens(data))
+        return self.engine.decode(self.engine.read_tokens(data))
 
 
 class _RaagEngine:
@@ -147,8 +147,10 @@ class _RaagEngine:
     and its non-neighbours: the generators a letter of i never moves past.
     letter_adjacent, which only the oracles read, says which codes commute;
     it and the Tits oracle's noncommuting lists derived from it are built on
-    their first read, since reducing a word never needs them.
-    Words enter through encode, the one place their letters are checked.
+    their first read, since reducing a word never needs them.  token_table,
+    also built on its first read, maps word tokens to codes and back: words
+    enter through read_tokens or encode, the two places their letters are
+    checked, and leave through write_tokens or decode.
     """
 
     def __init__(self, graph: Graph):
@@ -172,6 +174,42 @@ class _RaagEngine:
             [t for t, commutes in enumerate(row) if not commutes and t != s]
             for s, row in enumerate(self.letter_adjacent)
         ]
+
+    @cached_property
+    def token_table(self) -> tuple[dict[str, int], list[str | None]]:
+        """Each word token's code, and each code's token: "x" for 2i, "-x"
+        for 2i+1.  As "-x" is x's inverse and "" and "-" are no tokens, the
+        positive letter of a label that is empty or starts with "-", and the
+        inverse of "", have none (None)."""
+        codes: dict[str, int] = {}
+        tokens: list[str | None] = []
+        for i, label in enumerate(self.labels):
+            positive = label if label[:1] not in ("", "-") else None
+            inverse = "-" + label if label else None
+            for code, token in ((2 * i, positive), (2 * i + 1, inverse)):
+                if token is not None:
+                    codes[token] = code
+                tokens.append(token)
+        return codes, tokens
+
+    def read_tokens(self, tokens: Sequence) -> list[int]:
+        """Letter codes of word tokens, one lookup each; on a token that
+        names no letter, word_from_tokens and encode raise their errors."""
+        try:
+            return list(map(self.token_table[0].__getitem__, tokens))
+        except (KeyError, TypeError):  # TypeError: an unhashable token
+            return list(self.encode(word_from_tokens(tokens)))
+
+    def write_tokens(self, enc: Sequence[int]) -> list[str]:
+        """Word tokens of letter codes; a letter no token names is refused,
+        so every word written reads back as itself."""
+        tokens = self.token_table[1]
+        out = list(map(tokens.__getitem__, enc))
+        if None in out:
+            c = enc[out.index(None)]
+            sign = "inverse" if c & 1 else "positive"
+            raise MalformedInput(f"no word token names the {sign} letter of generator {self.labels[c >> 1]!r}")
+        return out
 
     def encode(self, w: Iterable) -> tuple[int, ...]:
         enc = []
@@ -246,8 +284,8 @@ class _RaagEngine:
     def is_identity(self, enc: Sequence[int]) -> bool:
         return not self.cancel_fixpoint(enc)
 
-    def reduce(self, enc: Sequence[int]) -> Word:
-        return self.decode(self.lex_normal(self.cancel_fixpoint(enc)))
+    def reduce(self, enc: Sequence[int]) -> list[int]:
+        return self.lex_normal(self.cancel_fixpoint(enc))
 
     def lex_normal(self, reduced: Sequence[int]) -> list[int]:
         """Lexicographically least shuffle of a cancellation-free word, in
@@ -347,7 +385,8 @@ def _inverse_codes(enc: Sequence[int]) -> tuple[int, ...]:
 
 def raag_reduce(raag: Raag, w: Iterable) -> Word:
     """Cancellation-free canonical representative of the same element."""
-    return raag.engine.reduce(raag.engine.encode(w))
+    engine = raag.engine
+    return engine.decode(engine.reduce(engine.encode(w)))
 
 
 def raag_is_identity(raag: Raag, w: Iterable) -> bool:
@@ -651,7 +690,7 @@ def evaluate_word(images: Mapping[str, object], w: Iterable, h: GroupHandle):
         for x, sign in letters:
             codes = engine.encode(x)
             enc.extend(codes if sign > 0 else _inverse_codes(codes))
-        return engine.reduce(enc)
+        return engine.decode(engine.reduce(enc))
     acc = h.identity
     for x, sign in letters:
         acc = h.multiply(acc, x if sign > 0 else h.invert(x))

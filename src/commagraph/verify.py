@@ -32,7 +32,7 @@ from .graphs import (
 from .groups import (
     FiniteGroup, Raag, _raag_hom_images, commutation_graph,
     cyclic_group, enumerate_homs_finite_to_finite, group_to_json, klein_four_group, symmetric_group_3,
-    trivial_group, word_to_tokens,
+    trivial_group,
 )
 from .sets import make_set
 
@@ -282,7 +282,7 @@ def _word_differential(
 
     def disagreement(raag: Raag, codes: tuple[int, ...], fast: bool, oracle: bool) -> dict:
         presentation = graph_to_json(raag.presentation)
-        word = word_to_tokens(raag.engine.decode(codes))
+        word = raag.engine.write_tokens(codes)
         return {"presentation": presentation, "word": word, "fast": fast, "oracle": oracle}
 
     for g in graphs_up_to(max_vertices):

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from commagraph.cli import _layout, main
 from commagraph.comma import comma_object_from_json, comma_object_to_json
 from commagraph.graphs import graph_from_json
+from commagraph.groups import Raag, raag_reduce, word_from_tokens, word_to_tokens
 
 EDGE = {"vertices": ["a", "b"], "edges": [["a", "b"]]}
 DISCRETE2 = {"vertices": ["a", "b"], "edges": []}
@@ -247,6 +249,26 @@ def test_module_entry_point_reads_sys_argv_like_main(write, capsys):
     assert proc.stdout == _reduced("a", "b", "-a")
 
 
+def _inverse_tokens(tokens):
+    return [t[1:] if t.startswith("-") else "-" + t for t in reversed(tokens)]
+
+
+@pytest.mark.parametrize("density", [0.0, 1.0, 0.5], ids=["edgeless", "complete", "half"])
+def test_raag_reduce_cli_matches_the_library_on_long_words(write, capsys, density):
+    rng = random.Random(20)
+    labels = [f"v{i}" for i in range(20)]
+    edges = [[u, v] for i, u in enumerate(labels) for v in labels[i + 1:] if rng.random() < density]
+    graph = {"vertices": labels, "edges": edges}
+    path, raag = write("g.json", graph), Raag(graph_from_json(graph))
+    letters = labels + ["-" + x for x in labels]
+    u = [rng.choice(letters) for _ in range(5000)]
+    for tokens in ([rng.choice(letters) for _ in range(10000)], u + _inverse_tokens(u)):
+        reduced = word_to_tokens(raag_reduce(raag, word_from_tokens(tokens)))
+        note = f"reduced 10000 letters to {len(reduced)}\n"
+        assert run(capsys, "raag-reduce", path, *tokens) == (0, _reduced(*reduced), note)
+    assert reduced == []
+
+
 def test_commutation_graph_c2(write, capsys):
     code, out, _ = run(capsys, "commutation-graph", write("c2.json", C2))
     assert code == 0
@@ -394,6 +416,24 @@ def test_homs_into_single_vertex(write, capsys):
     code, out, _ = run(capsys, "homs", write("edge.json", EDGE), write("point.json", point))
     assert code == 0
     assert json.loads(out)["count"] == 1
+
+
+TOKENLESS = {"vertices": ["a", "-a"], "edges": [["a", "-a"]]}  # "-a" would read back as a^-1
+
+
+def test_printed_words_must_read_back(write, capsys):
+    code, out, err = run(capsys, "gamma", write("g.json", TOKENLESS))
+    assert (code, out) == (2, "")
+    assert err == "error: MalformedInput: no word token names the positive letter of generator '-a'\n"
+    code, out, err = run(capsys, "gamma", write("g.json", {"vertices": ["", "a"], "edges": []}))
+    assert (code, out) == (2, "")
+    assert err == "error: MalformedInput: no word token names the positive letter of generator ''\n"
+    # words over such a graph that name only nameable letters still reduce
+    code, out, _ = run(capsys, "raag-reduce", write("g.json", TOKENLESS), "a", "--a", "-a")
+    assert (code, out) == (0, _reduced("--a"))
+    # and a finite group's elements are no words
+    code, out, _ = run(capsys, "homs", write("g.json", TOKENLESS), write("c2.json", C2))
+    assert code == 0 and json.loads(out)["count"] == 4
 
 
 def test_check_quick_suites_pass(write, capsys):

@@ -1,5 +1,7 @@
+import json
+
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from commagraph import (
@@ -202,6 +204,32 @@ def test_embed_graph_shapes():
 
     empty = embed_graph(make_graph(make_set([]), []))
     assert len(empty.gens) == 0
+
+
+@st.composite
+def _graphs_on_any_labels(draw):
+    """Graphs whose labels include the empty one and ones starting with "-",
+    which the shared strategies never draw."""
+    labels = draw(st.lists(st.sampled_from(["", "-", "-a", "--a", "a", "b"]), unique=True, max_size=5))
+    pairs = [(u, v) for i, u in enumerate(labels) for v in labels[i + 1:]]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return make_graph(make_set(labels), edges)
+
+
+@example(make_graph(make_set(["a", "-a"]), [("a", "-a")]))
+@given(_graphs_on_any_labels())
+def test_embedding_round_trips_through_json_or_is_refused(g):
+    # a token "-x" reads as the inverse of x and "" is no token, so a
+    # generator whose label is empty or starts with "-" cannot be written
+    w = embed_graph(g)
+    unwritable = [x for x in g.vertices.labels if x[:1] in ("", "-")]
+    try:
+        data = json.loads(json.dumps(comma_object_to_json(w)))
+    except MalformedInput as exc:
+        assert unwritable and repr(unwritable[0]) in str(exc)
+        return
+    assert not unwritable
+    assert comma_object_from_json(data) == w
 
 
 def test_embed_graph_hom_identity():

@@ -168,6 +168,106 @@ def test_bad_letters_rejected_by_every_word_entry():
             entry([A, ("z", 1)])
 
 
+# ---------------------------------------------------------------------------
+# word tokens
+
+TOKEN_LABELS = (["a", "b"], ["a", "-a"], ["", "a"], ["é", "𝄞"])
+TOKEN_WORDS = (
+    [], ["a"], ["-a", "b", "-b"], ["--a"], ["é", "-𝄞", "𝄞"],
+    [""], ["-"], ["--"], ["---a"], ["z"], ["-z"], ["a", "-é"],
+    ["a", "z", "-"],  # an unknown generator before a bad token
+    ["z", "-z", ""],
+    ["a", "-", ""],  # "-" before ""
+    ["a", "", "-"],  # "" before "-"
+    ["a", 1], ["z", None], ["a", ["a", 1]], ["a", {"a": 1}],  # not strings, hashable or not
+)
+
+
+def _outcome(read, tokens):
+    """What read makes of tokens: its letter codes, or its error's type and
+    message."""
+    try:
+        return list(read(tokens))
+    except (MalformedInput, UnknownGenerator) as exc:
+        return type(exc), str(exc)
+
+
+def _token_mismatches(read):
+    """(labels, tokens) on which read(engine, tokens) differs from
+    word_from_tokens then encode, in the codes or in the error raised."""
+    out = []
+    for labels in TOKEN_LABELS:
+        engine = Raag(discrete(make_set(labels))).engine
+        for tokens in TOKEN_WORDS:
+            want = _outcome(lambda t: engine.encode(word_from_tokens(t)), tokens)
+            if _outcome(lambda t: read(engine, t), tokens) != want:
+                out.append((labels, tokens))
+    return out
+
+
+def test_token_reader_agrees_with_word_from_tokens_and_encode():
+    assert _token_mismatches(lambda engine, tokens: engine.read_tokens(tokens)) == []
+
+
+def _read_empty_token_first(engine, tokens):
+    """A token reader whose slow path looks for "" before "-": on a word
+    holding both it names the wrong bad token."""
+    codes = engine.token_table[0]
+    try:
+        return [codes[t] for t in tokens]
+    except (KeyError, TypeError):
+        pass
+    for t in tokens:
+        if not isinstance(t, str):
+            raise MalformedInput(f"bad word token {t!r}")
+    for bad in ("", "-"):
+        if bad in tokens:
+            raise MalformedInput(f"bad word token {bad!r}")
+    unknown = next(t for t in tokens if t not in codes)
+    raise UnknownGenerator(f"{unknown.removeprefix('-')!r} is not a generator of this group")
+
+
+def test_token_contract_catches_a_reader_that_checks_empty_tokens_first():
+    mismatches = _token_mismatches(_read_empty_token_first)
+    assert {tuple(tokens) for _, tokens in mismatches} == {("a", "-", "")}
+    assert len(mismatches) == len(TOKEN_LABELS)
+
+
+def test_element_from_json_agrees_with_word_from_tokens():
+    for labels in TOKEN_LABELS:
+        raag = Raag(discrete(make_set(labels)))
+        for tokens in TOKEN_WORDS:
+            want = _outcome(lambda t: raag.validate_element(word_from_tokens(t)), tokens)
+            assert _outcome(raag.element_from_json, tokens) == want
+    with pytest.raises(MalformedInput, match=re.escape("bad word token ['a', 1]")):
+        edge_raag().element_from_json([["a", 1]])
+
+
+def test_every_written_letter_reads_back_as_itself():
+    # "-x" reads as the inverse of x and "" and "-" are no tokens, so the
+    # positive letter of "", "-a" and "--a", and the inverse of "", have none
+    for labels in TOKEN_LABELS + (["--a", "-", "a", ""],):
+        raag = Raag(discrete(make_set(labels)))
+        engine = raag.engine
+        for c in range(2 * len(labels)):
+            label = labels[c >> 1]
+            if label[:1] not in ("", "-") or c & 1 and label:
+                assert engine.read_tokens(engine.write_tokens([c])) == [c]
+            else:
+                with pytest.raises(MalformedInput, match=re.escape(f"generator {label!r}")):
+                    engine.write_tokens([c])
+                with pytest.raises(MalformedInput, match=re.escape(f"generator {label!r}")):
+                    raag.element_to_json(engine.decode([c]))
+
+
+def test_token_table_is_built_on_first_read():
+    engine = edge_raag().engine
+    assert "token_table" not in vars(engine)
+    assert engine.read_tokens(["a", "-b"]) == [0, 3]
+    assert engine.write_tokens([3, 0]) == ["-b", "a"]
+    assert "token_table" in vars(engine)
+
+
 def test_path_commutator_of_endpoints_is_not_identity():
     path = Raag(make_graph(make_set(["a", "b", "c"]), [("a", "b"), ("b", "c")]))
     endpoints = (A, ("c", 1), iA, ("c", -1))
