@@ -16,8 +16,10 @@ that contains the RAAG (Davis-Januszkiewicz 2000) tests a word of any
 length in O(n*k), on exact integers, each reflection moving only the
 coordinates of the reflections it does not commute with.  Reduced words are
 put into a canonical form, the lexicographically least word obtainable by
-swapping adjacent commuting letters, in O(n*k + n log n); two words denote
-the same element iff they reduce to the same canonical form.
+swapping adjacent commuting letters, by inserting each letter before the
+first larger one of the letters it commutes past, typically in O(n), with
+Kahn's heap taking over once that costs more than it would, O(n*k + n log n);
+two words denote the same element iff they reduce to the same canonical form.
 
 Finite groups keep their Cayley table as rows of element indices, read
 through the element set's label positions; labels appear only where
@@ -288,12 +290,67 @@ class _RaagEngine:
         return self.lex_normal(self.cancel_fixpoint(enc))
 
     def lex_normal(self, reduced: Sequence[int]) -> list[int]:
-        """Lexicographically least shuffle of a cancellation-free word, in
-        O(n*k + n log n): Kahn's algorithm with a min-heap on the DAG linking
-        each letter to the next letter of each blocking generator.  Emitting
-        a letter releases the first unemitted letters of its blocking
-        generators, so only in-degrees are stored.  Generator order is vertex
-        storage order, a positive letter sorting before its inverse."""
+        """Lexicographically least shuffle of a word (reduce passes it a
+        cancellation-free one), letters ordered by code: generator order is
+        vertex storage order, a positive letter sorting before its inverse.
+
+        Each letter a goes into out, the least shuffle of the letters before
+        it.  A back-scan crosses the longest suffix S of out whose letters all
+        commute with a (a's own generator and its non-neighbours block), and
+        a goes just before the first letter of S greater than a, or last if
+        there is none; moving a over letters it commutes with keeps the
+        class.  A word is least in its class iff it has no factor b.u.c with
+        c < b and c commuting with every letter of b.u (Anisimov-Knuth 1979),
+        and the new out has none: with c = a, b.u would lie in S before a,
+        where no letter exceeds a; with b = a, u.c would lie in S after a,
+        and the letter just after a, greater than a and so not c, would
+        start such a factor in the old out; any other one, with or without a
+        inside u, was one of the old out.
+
+        A back-scan can cross all of out, which makes plain insertion
+        quadratic, so its steps are charged to a budget of Kahn's own work,
+        the blocking generators summed over the letters; a scan that
+        overdraws it hands the whole word to _kahn_normal.  The worst case
+        stays O(n*k + n log n) for n letters over k generators, while a word
+        whose letters seldom commute with the ones just before them costs
+        O(n)."""
+        neighbours = self.neighbours
+        weight = [len(b) for b in self.blocking for _ in (0, 1)]
+        budget = sum(map(weight.__getitem__, reduced))
+        out: list[int] = []
+        append = out.append
+        last = -2  # out's last letter; the generator -1 commutes with none
+        for a in reduced:
+            commuting = neighbours[a >> 1]
+            if last >> 1 not in commuting:
+                append(a)
+                last = a
+                continue
+            end = len(out)
+            i = end - 1  # past last, which commutes with a
+            p = i if last > a else end
+            while i:
+                b = out[i - 1]
+                if b >> 1 not in commuting:
+                    break
+                i -= 1
+                if b > a:
+                    p = i
+            budget -= end - i
+            if budget < 0:
+                return self._kahn_normal(reduced)
+            if p == end:
+                append(a)
+                last = a
+            else:
+                out.insert(p, a)
+        return out
+
+    def _kahn_normal(self, reduced: Sequence[int]) -> list[int]:
+        """lex_normal by Kahn's algorithm with a min-heap, in O(n*k + n log n),
+        on the DAG linking each letter to the next letter of each blocking
+        generator.  Emitting a letter releases the first unemitted letters of
+        its blocking generators, so only in-degrees are stored."""
         blocking = self.blocking
         waiting = [0] * len(reduced)
         next_same = [-1] * len(reduced)

@@ -48,6 +48,7 @@ from commagraph.graphs import _graph_hom_images
 from commagraph.groups import (
     GroupHom,
     Raag,
+    _RaagEngine,
     _raag_hom_images,
     apply_hom,
     compose_group_homs,
@@ -482,7 +483,67 @@ def _swap_closure(graph, word):
     return seen
 
 
-def test_reduced_form_is_lex_least_of_its_shuffle_class():
+def _swap_classes(graph, max_len, every_word_len):
+    """Each class of words of letter codes (2i for generator i, 2i+1 for its
+    inverse) under swaps of adjacent letters whose generators are adjacent in
+    the graph, with its least member: every class of each length up to
+    every_word_len, then up to max_len the classes no member of which has an
+    adjacent inverse pair, the cancellation-free ones.  Independent of the
+    engine: a cancellation-free word of length n extends one of length n-1."""
+    labels = graph.vertices.labels
+    commute = [[graph.has_edge(u, v) for v in labels] for u in labels]
+    letters = range(2 * len(labels))
+    free = [()]
+    for length in range(1, max_len + 1):
+        if length <= every_word_len:
+            words = product(letters, repeat=length)
+        else:
+            words = (w + (c,) for w in free for c in letters)
+        seen, free = set(), []
+        for w in words:
+            if w in seen:
+                continue
+            members, stack = {w}, [w]
+            while stack:
+                u = stack.pop()
+                for i in range(length - 1):
+                    if commute[u[i] >> 1][u[i + 1] >> 1]:
+                        v = u[:i] + (u[i + 1], u[i]) + u[i + 2:]
+                        if v not in members:
+                            members.add(v)
+                            stack.append(v)
+            seen |= members
+            if not any(u[i] == u[i + 1] ^ 1 for u in members for i in range(length - 1)):
+                free.extend(members)
+            elif length > every_word_len:
+                continue
+            yield members, min(members)
+
+
+def _lex_least_mismatch(max_vertices=3, max_len=6, every_word_len=5):
+    """The first (graph, word) whose lex_normal is not the least member of
+    its swap class, over the window of _swap_classes on every graph up to
+    max_vertices; None if there is none."""
+    for g in graphs_up_to(max_vertices):
+        engine = Raag(g).engine
+        for members, least in _swap_classes(g, max_len, every_word_len):
+            for w in members:
+                if engine.lex_normal(w) != list(least):
+                    return g, w
+    return None
+
+
+def test_reduced_form_is_lex_least_of_its_shuffle_class(monkeypatch):
+    # lex_normal must return the lexicographically least shuffle of every
+    # word up to length 5 and of every cancellation-free word up to length 6,
+    # on every graph up to 3 vertices; the window reaches the fallback.  It
+    # takes words that are not cancellation-free because a back-scan that
+    # crosses a's own generator goes wrong only on a cancellable pair
+    fallbacks = []
+    kahn = _RaagEngine._kahn_normal
+    monkeypatch.setattr(_RaagEngine, "_kahn_normal", lambda self, w: fallbacks.append(w) or kahn(self, w))
+    assert _lex_least_mismatch() is None
+    assert fallbacks
     # raag_reduce must return the lexicographically least member of the
     # shuffle class of its own output (generator order = storage order,
     # a positive letter before its inverse)
@@ -500,6 +561,62 @@ def test_reduced_form_is_lex_least_of_its_shuffle_class():
                 closure = _swap_closure(g, reduced)
                 assert reduced == min(closure, key=key)
                 assert all(raag.equal(w, u) for u in closure)
+
+
+def _mutated_lex_normal(own_generator_commutes=False, insert_at_run_start=False):
+    """The engine's insertion, plainly written, with a back-scan that may
+    cross letters of a's own generator and an insertion that may go at the
+    start of the commuting run instead of before its first larger letter;
+    the budget and the fallback are the engine's."""
+
+    def lex_normal(self, reduced):
+        weight = [len(b) for b in self.blocking for _ in (0, 1)]
+        budget = sum(map(weight.__getitem__, reduced))
+        out = []
+        for a in reduced:
+            commuting = self.neighbours[a >> 1] | ({a >> 1} if own_generator_commutes else set())
+            end = i = p = len(out)
+            while i and out[i - 1] >> 1 in commuting:
+                i -= 1
+                if out[i] > a or insert_at_run_start:
+                    p = i
+            budget -= end - i
+            if budget < 0:
+                return self._kahn_normal(reduced)
+            out.insert(p, a)
+        return out
+
+    return lex_normal
+
+
+def _stack_for_heap(monkeypatch):
+    from commagraph import groups
+
+    monkeypatch.setattr(groups, "heapify", lambda ready: None)
+    monkeypatch.setattr(groups, "heappop", list.pop)
+    monkeypatch.setattr(groups, "heappush", list.append)
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        _stack_for_heap,
+        lambda m: m.setattr(_RaagEngine, "lex_normal", lambda self, reduced: list(reduced)),
+        lambda m: m.setattr(_RaagEngine, "lex_normal", _mutated_lex_normal(own_generator_commutes=True)),
+        lambda m: m.setattr(_RaagEngine, "lex_normal", _mutated_lex_normal(insert_at_run_start=True)),
+    ],
+    ids=["stack-in-fallback", "identity", "own-generator-commutes", "insert-at-run-start"],
+)
+def test_lex_least_gate_catches_mutations(monkeypatch, mutate):
+    mutate(monkeypatch)
+    assert _lex_least_mismatch() is not None
+
+
+def test_plain_insertion_passes_the_lex_least_gate(monkeypatch):
+    # the mutations above are caught for what they change, not for the copy:
+    # each is caught on graphs of at most 2 vertices, where the copy passes
+    monkeypatch.setattr(_RaagEngine, "lex_normal", _mutated_lex_normal())
+    assert _lex_least_mismatch(max_vertices=2) is None
 
 
 def _reference_reduce(graph, word):
@@ -572,6 +689,40 @@ def test_reduce_matches_reference_on_long_words():
         assert raag_is_identity(Raag(g), w) == (expected == ())
 
 
+def _twenty_vertices(density, rng):
+    labels = make_set([f"v{i}" for i in range(20)])
+    edges = [(u, v) for i, u in enumerate(labels) for v in labels.labels[i + 1:] if rng.random() < density]
+    return make_graph(labels, edges)
+
+
+def test_lex_normal_matches_kahn_on_long_words(monkeypatch):
+    # seeded words over 20-vertex graphs of density 0 to 1, a star and a
+    # path: random ones and ones sorted by decreasing letter, whose late
+    # letters scan far back; Kahn's heap called directly is the reference,
+    # and words of up to 200 letters also meet _reference_reduce
+    rng = random.Random(21)
+    graphs = [_twenty_vertices(density, rng) for density in (0, 0.25, 0.5, 0.75, 1)]
+    labels = graphs[0].vertices.labels
+    graphs.append(make_graph(graphs[0].vertices, [("v0", v) for v in labels[1:]]))
+    graphs.append(make_graph(graphs[0].vertices, list(zip(labels, labels[1:]))))
+    kahn = _RaagEngine._kahn_normal
+    fallbacks = []
+    monkeypatch.setattr(_RaagEngine, "_kahn_normal", lambda self, w: fallbacks.append(w) or kahn(self, w))
+    calls = 0
+    for g in graphs:
+        engine = Raag(g).engine
+        for length in (500, 1000, 2000):
+            w = [rng.randrange(40) for _ in range(length)]
+            for reduced in (engine.cancel_fixpoint(w), engine.cancel_fixpoint(sorted(w, reverse=True))):
+                assert engine.lex_normal(reduced) == kahn(engine, reduced)
+                calls += 1
+        for _ in range(5):
+            w = tuple((rng.choice(labels), rng.choice((1, -1))) for _ in range(rng.randint(50, 200)))
+            assert raag_reduce(Raag(g), w) == _reference_reduce(g, w)
+            calls += 1
+    assert 0 < len(fallbacks) < calls
+
+
 def test_engine_is_fast_on_long_words():
     # a quadratic engine takes about a minute on the first word; each of
     # these takes tens of milliseconds in linear time
@@ -589,6 +740,34 @@ def test_engine_is_fast_on_long_words():
     start = time.perf_counter()
     assert raag_reduce(edge_raag(), adversarial) == (iA,) + (B,) * 16000
     assert time.perf_counter() - start < 5.0
+
+
+def _plain_insertion_killers():
+    """Words whose normal form plain insertion, with no budget, builds in
+    quadratic time: their late letters commute with, and sort before, long
+    runs of the letters before them, so each scans back over such a run."""
+    path = make_graph(make_set(["a", "x", "y"]), [("x", "a"), ("a", "y")])
+    xy = (("x", 1), ("y", 1)) * 8000
+    yield pytest.param(path, xy + (A,) * 8000, (A,) * 8000 + xy, id="path")
+    rng = random.Random(7)
+    complete = _twenty_vertices(1.0, rng)
+    w = tuple((rng.choice(complete.vertices.labels), 1) for _ in range(10000))
+    yield pytest.param(complete, w, tuple(sorted(w, key=lambda x: int(x[0][1:]))), id="complete")
+    half = _twenty_vertices(0.5, rng)
+    around = [v for v in half.vertices if half.has_edge("v0", v)]
+    u = tuple((rng.choice(around), 1) for _ in range(8000))
+    v0 = (("v0", 1),) * 8000
+    engine = Raag(half).engine
+    yield pytest.param(half, u + v0, v0 + engine.decode(engine._kahn_normal(engine.encode(u))), id="half-dense")
+
+
+@pytest.mark.parametrize("graph, word, expected", _plain_insertion_killers())
+def test_normal_form_is_fast_where_plain_insertion_is_quadratic(graph, word, expected):
+    # each takes under 0.05 s; without the budget that hands the word to
+    # Kahn's heap, insertion takes 2 s (complete) to 12 s (path)
+    start = time.perf_counter()
+    assert raag_reduce(Raag(graph), word) == expected
+    assert time.perf_counter() - start < 0.5
 
 
 def test_commute_examples():
