@@ -128,8 +128,13 @@ def compose_comma(m1: CommaMorphism, m2: CommaMorphism) -> CommaMorphism:
 def embed_graph(g: Graph) -> CommaObject:
     """A graph as a comma object: the quotient map from the free group on
     the vertices to the group the graph presents, one single-letter image
-    per vertex."""
-    return CommaObject(g.vertices, Raag(g), {v: ((v, 1),) for v in g.vertices})
+    per vertex.  Built once per graph instance and kept on it, as
+    Graph.neighbours is, so the morphisms out of one graph share it and its
+    engine, and compare it by identity."""
+    cache = vars(g)
+    if "_embedding" not in cache:
+        cache["_embedding"] = CommaObject(g.vertices, Raag(g), {v: ((v, 1),) for v in g.vertices})
+    return cache["_embedding"]
 
 
 def _from_embedded(src: CommaObject, w: CommaObject, f_set: SetMap) -> CommaMorphism:
@@ -154,17 +159,18 @@ def enumerate_morphisms_from_embedded_graph(g: Graph, w: CommaObject) -> list[Co
 
     The commuting square forces the group part on generators, so the search
     ranges only over set maps; a candidate survives iff the induced
-    generator images commute wherever the graph has an edge.
+    generator images commute wherever the graph has an edge, read from one
+    table of which of w's generators have commuting images.
     """
     src = embed_graph(g)
-    t = w.target
+    t, labels = w.target, w.gens.labels
+    images = [w.images[x] for x in labels]
+    commute = [[t.commutes(a, b) for b in images] for a in images]
+    edges = [(g.vertices.positions[u], g.vertices.positions[v]) for u, v in g.edges]
     out: list[CommaMorphism] = []
-    for combo in product(w.gens.labels, repeat=len(g.vertices)):
-        assignment = dict(zip(g.vertices.labels, combo))
-        if all(
-            t.commutes(w.images[assignment[u]], w.images[assignment[v]])
-            for u, v in g.edges
-        ):
+    for combo in product(range(len(labels)), repeat=len(g.vertices)):
+        if all(commute[combo[i]][combo[j]] for i, j in edges):
+            assignment = {v: labels[c] for v, c in zip(g.vertices.labels, combo)}
             out.append(_from_embedded(src, w, SetMap(g.vertices, w.gens, assignment)))
     return out
 

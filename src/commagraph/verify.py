@@ -8,12 +8,13 @@ subcommands, though not every failure replays as one CLI call.
 
 A suite is a generator that yields once per case: None when the case
 passes, its counterexample when it fails.  A check that is not a case
-(fullness comparing a pair's two hom sets, group reflection checking its
-unit) ends the generator by returning its counterexample.  One driver,
-``run_suite``, counts the cases, stops at the first counterexample and
-builds the report; one registry, ``SUITES``, holds each suite's scope and
-the default and legal range of each bound a caller sets, which the driver
-enforces on every call; a window no caller moves is a constant of its suite.
+(couniversal comparing a pair's morphism and hom counts, group reflection
+checking its unit) ends the generator by returning its counterexample.
+One driver, ``run_suite``, counts the cases, stops at the first
+counterexample and builds the report; one registry, ``SUITES``, holds each
+suite's scope and the default and legal range of each bound a caller sets,
+which the driver enforces on every call; a window no caller moves is a
+constant of its suite.
 """
 
 from __future__ import annotations
@@ -122,32 +123,6 @@ def _unit_iso(max_vertices: int) -> Cases:
         yield None if same else {"graph": graph_to_json(g), "coreflection": graph_to_json(core.graph)}
 
 
-def _fullness(max_vertices: int) -> Cases:
-    """Commuting squares between embedded graphs are exactly graph homs.
-
-    For every ordered pair of graphs, every vertex map inducing a valid
-    comma morphism (its group part is forced on generators) must be a graph
-    hom, and conversely; the two collections must agree one for one.
-    """
-    pool = list(graphs_up_to(max_vertices))
-    for g1 in pool:
-        for g2 in pool:
-            pair = {"dom": graph_to_json(g1), "cod": graph_to_json(g2)}
-            square_maps = set()
-            for m in comma.enumerate_morphisms_from_embedded_graph(g1, comma.embed_graph(g2)):
-                if comma.is_comma_morphism(m):
-                    square_maps.add(tuple(sorted(m.f_set.mapping.items())))
-                    yield None
-                else:
-                    reason = "enumerated square does not commute"
-                    yield {**pair, "map": dict(m.f_set.mapping), "reason": reason}
-            hom_maps = {tuple(sorted(h.vmap.mapping.items())) for h in enumerate_graph_homs(g1, g2)}
-            if square_maps != hom_maps:
-                first = dict(min(square_maps.symmetric_difference(hom_maps)))
-                return {**pair, "map": first, "squares": len(square_maps), "graph_homs": len(hom_maps)}
-    return None
-
-
 def _ac_bijection(max_vertices: int, groups: list[FiniteGroup]) -> Cases:
     """Graph homs into the commutation graph correspond one for one with
     group homs out of the presented group.
@@ -195,23 +170,34 @@ def _dvi(max_vertices: int) -> Cases:
 
 
 def _couniversal(pool: list[comma.CommaObject], max_vertices: int) -> Cases:
-    """Every morphism from an embedded graph into a pool object factors
-    through the coreflection counit by exactly one graph hom."""
+    """Morphisms from an embedded graph g into a pool object w correspond one
+    for one with graph homs g -> core(w) through the counit: each enumerated
+    morphism differs from the ones before it and factors by exactly one hom,
+    and there are as many morphisms as homs.  Over a pool of embedded graphs
+    E(d), whose coreflections are d again, this is fullness.  Each graph is
+    built once per call, so everything out of it shares its one embedding."""
+    graphs = list(graphs_up_to(max_vertices))
     for w in pool:
         core = comma.coreflect(w)
-        for g in graphs_up_to(max_vertices):
+        for g in graphs:
+            homs = enumerate_graph_homs(g, core.graph)
             # CommaMorphism equality compares set maps first, so only the
             # composites sharing m's set map can equal it
             composites: dict[frozenset, list] = {}
-            for h in enumerate_graph_homs(g, core.graph):
+            for h in homs:
                 composite = comma.compose_comma(comma.embed_graph_hom(h), core.counit)
                 key = frozenset(composite.f_set.mapping.items())
                 composites.setdefault(key, []).append((h, composite))
-            for m in comma.enumerate_morphisms_from_embedded_graph(g, w):
-                same_map = composites.get(frozenset(m.f_set.mapping.items()), ())
+            morphisms = comma.enumerate_morphisms_from_embedded_graph(g, w)
+            seen: set[frozenset] = set()
+            for m in morphisms:
+                key = frozenset(m.f_set.mapping.items())
+                same_map = composites.get(key, ())
                 factors = [h for h, composite in same_map if composite == m]
                 witness = None
-                if len(factors) != 1:
+                if key in seen:  # the group part is forced, so the set map is the morphism
+                    witness = "repeats an earlier morphism"
+                elif len(factors) != 1:
                     witness = len(factors)
                 else:
                     try:
@@ -221,12 +207,14 @@ def _couniversal(pool: list[comma.CommaObject], max_vertices: int) -> Cases:
                     else:
                         if found.vmap.mapping != factors[0].vmap.mapping:
                             witness = "disagrees with the direct factor"
+                seen.add(key)
                 yield None if witness is None else {
-                    "graph": graph_to_json(g),
-                    "object": comma.comma_object_to_json(w),
-                    "morphism_f_set": dict(m.f_set.mapping),
-                    "factorizations": witness,
+                    "graph": graph_to_json(g), "object": comma.comma_object_to_json(w),
+                    "morphism_f_set": dict(m.f_set.mapping), "factorizations": witness,
                 }
+            if len(morphisms) != len(homs):  # not a case: a hom no morphism factors through
+                return {"graph": graph_to_json(g), "object": comma.comma_object_to_json(w),
+                        "morphisms": len(morphisms), "graph_homs": len(homs)}
 
 
 def _group_reflection(pool: list[comma.CommaObject], codomains: list[FiniteGroup]) -> Cases:
@@ -350,7 +338,9 @@ SUITES: dict[str, Suite] = {
         _unit_iso, "all labeled graphs on 0..{max_vertices} vertices", {"max_vertices": (4, 0, _V)}
     ),
     "fullness": Suite(
-        _fullness,
+        lambda max_vertices: _couniversal(
+            [comma.embed_graph(d) for d in graphs_up_to(max_vertices)], max_vertices
+        ),
         "all ordered pairs of labeled graphs on 0..{max_vertices} vertices",
         {"max_vertices": (3, 0, 3)},
     ),

@@ -1,4 +1,5 @@
 import time
+from itertools import combinations, product
 
 import pytest
 
@@ -61,11 +62,28 @@ def test_failed_report_carries_counterexample_json(monkeypatch):
     assert data["counterexample"]["graph"] == {"vertices": ["a", "b"], "edges": [["a", "b"]]}
 
 
+def _brute_force_graph_hom_pairs(max_vertices: int) -> int:
+    """The vertex maps between every ordered pair of graphs on 0..max_vertices
+    vertices under which each edge collapses or lands on an edge, counted by
+    trying every map: the fullness suite's case count, with no library search."""
+    graphs = []
+    for n in range(max_vertices + 1):
+        pairs = list(combinations(range(n), 2))
+        graphs += [(n, edges) for k in range(len(pairs) + 1) for edges in combinations(pairs, k)]
+    count = 0
+    for n1, edges1 in graphs:
+        for n2, edges2 in graphs:
+            for f in product(range(n2), repeat=n1):
+                count += all(f[u] == f[v] or (min(f[u], f[v]), max(f[u], f[v])) in edges2 for u, v in edges1)
+    return count
+
+
 def test_fullness_passes():
-    report = verify.run_suite("fullness", max_vertices=3)
-    assert report.passed
-    # edge against edge alone contributes 4 commuting squares
-    assert report.cases_checked >= 4
+    for n, expected in enumerate([1, 3, 25, 1351]):
+        assert _brute_force_graph_hom_pairs(n) == expected
+        report = verify.run_suite("fullness", max_vertices=n)
+        assert report.passed and report.counterexample is None
+        assert report.cases_checked == expected
 
 
 def test_fullness_edge_pair_counts():
@@ -104,7 +122,7 @@ def test_couniversal_abelian_pool_object_alone():
 
 
 def test_couniversal_is_fast_at_four_vertices():
-    # about 1 s on a 2-core Xeon VM; 5 s leaves room for slower machines
+    # about 0.4 s on a 2-core Xeon VM; 5 s leaves room for slower machines
     start = time.perf_counter()
     report = verify.run_suite("couniversal", max_vertices=4)
     assert time.perf_counter() - start < 5.0
@@ -389,23 +407,35 @@ def test_report_json_shape():
 # ---------------------------------------------------------------------------
 # Failing reports: each mutation pins where the driver stops and what it counts
 
+_CASE_KEYS = ["factorizations", "graph", "morphism_f_set", "object"]
+
+
 def test_fullness_square_mutation_is_caught(monkeypatch):
-    real = comma.is_comma_morphism
+    # an enumeration that ignores the edge test: every set map is offered
+    # as a morphism, and one that is no graph hom has no factor
+    def every_set_map(g, w):
+        src = comma.embed_graph(g)
+        return [
+            comma._from_embedded(src, w, SetMap(g.vertices, w.gens, dict(zip(g.vertices.labels, combo))))
+            for combo in product(w.gens.labels, repeat=len(g.vertices))
+        ]
 
-    def injective_only(m):
-        return real(m) and len(set(m.f_set.mapping.values())) == len(m.f_set.mapping)
-
-    monkeypatch.setattr(comma, "is_comma_morphism", injective_only)
-    report = verify.run_suite("fullness", max_vertices=3)
-    assert not report.passed
-    assert report.cases_checked == 42
-    assert sorted(report.counterexample) == ["cod", "dom", "map", "reason"]
-    assert report.counterexample["map"] == {"a": "a", "b": "a"}
+    monkeypatch.setattr(comma, "enumerate_morphisms_from_embedded_graph", every_set_map)
+    for name, cases, f_set in (
+        ("fullness", 22, {"a": "a", "b": "b"}),
+        ("couniversal", 670, {"a": "x", "b": "y"}),
+    ):
+        report = verify.run_suite(name)
+        assert not report.passed
+        assert report.cases_checked == cases
+        assert sorted(report.counterexample) == _CASE_KEYS
+        assert report.counterexample["factorizations"] == 0
+        assert report.counterexample["morphism_f_set"] == f_set
 
 
 def test_fullness_hom_set_mutation_is_caught(monkeypatch):
-    # the comparison of a pair's two hom sets is not a case: the squares of
-    # the failing pair are counted, the comparison itself is not
+    # the graph side drops the last hom of a graph into itself, so the
+    # morphism it should have factored has none
     real = verify.enumerate_graph_homs
 
     def one_short(g1, g2):
@@ -415,9 +445,41 @@ def test_fullness_hom_set_mutation_is_caught(monkeypatch):
     monkeypatch.setattr(verify, "enumerate_graph_homs", one_short)
     report = verify.run_suite("fullness", max_vertices=3)
     assert not report.passed
-    assert report.cases_checked == 129
-    assert sorted(report.counterexample) == ["cod", "dom", "graph_homs", "map", "squares"]
-    assert (report.counterexample["squares"], report.counterexample["graph_homs"]) == (4, 3)
+    assert report.cases_checked == 61
+    assert sorted(report.counterexample) == _CASE_KEYS
+    assert report.counterexample["factorizations"] == 0
+    assert report.counterexample["morphism_f_set"] == {"a": "b", "b": "b"}
+
+
+def test_dropped_morphism_mutation_fails_couniversal_and_fullness(monkeypatch):
+    # every morphism still factors uniquely, so only the count comparison,
+    # which is not a case, sees the hom with no morphism; it fails at the
+    # first pair, the empty graph into the first pool object
+    real = comma.enumerate_morphisms_from_embedded_graph
+    monkeypatch.setattr(comma, "enumerate_morphisms_from_embedded_graph", lambda g, w: real(g, w)[:-1])
+    for name in ("couniversal", "fullness"):
+        report = verify.run_suite(name)
+        assert not report.passed
+        assert report.cases_checked == 0
+        assert sorted(report.counterexample) == ["graph", "graph_homs", "morphisms", "object"]
+        assert (report.counterexample["morphisms"], report.counterexample["graph_homs"]) == (0, 1)
+
+
+def test_repeated_morphism_mutation_fails_couniversal_and_fullness(monkeypatch):
+    # the last morphism of each pair is replaced by a copy of the first: the
+    # counts still agree and each copy factors uniquely, so only the check
+    # that each morphism is new sees it, at the first pair with two morphisms
+    real = comma.enumerate_morphisms_from_embedded_graph
+    monkeypatch.setattr(
+        comma, "enumerate_morphisms_from_embedded_graph", lambda g, w: real(g, w)[:-1] + real(g, w)[:1]
+    )
+    for name in ("couniversal", "fullness"):
+        report = verify.run_suite(name)
+        assert not report.passed
+        assert report.cases_checked == 16
+        assert sorted(report.counterexample) == _CASE_KEYS
+        assert report.counterexample["factorizations"] == "repeats an earlier morphism"
+        assert report.counterexample["graph"] == {"vertices": ["a"], "edges": []}
 
 
 def test_ac_bijection_index_views_match_public_lists():
@@ -549,11 +611,13 @@ def _first_image_everywhere(monkeypatch):
 
 
 def test_from_embedded_mutation_fails_fullness(monkeypatch):
+    # the counit out of the two-vertex edgeless graph sends b to a's image
     _first_image_everywhere(monkeypatch)
     report = verify.run_suite("fullness")
     assert not report.passed
-    assert report.counterexample["reason"] == "enumerated square does not commute"
-    assert report.counterexample["map"] == {"a": "a", "b": "b"}
+    assert sorted(report.counterexample) == _CASE_KEYS
+    assert report.counterexample["factorizations"] == 0
+    assert report.counterexample["morphism_f_set"] == {"a": "b"}
 
 
 def test_from_embedded_mutation_fails_couniversal(monkeypatch):
@@ -561,6 +625,23 @@ def test_from_embedded_mutation_fails_couniversal(monkeypatch):
     report = verify.run_suite("couniversal")
     assert not report.passed
     assert report.counterexample["factorizations"] == 0
+
+
+def test_couniversal_compares_each_embedding_by_identity(monkeypatch):
+    # each graph's embedding is one object, so every comparison of comma
+    # objects in the suites is of an object with itself
+    real = comma.CommaObject.__eq__
+    distinct = 0
+
+    def counting(self, other):
+        nonlocal distinct
+        distinct += self is not other
+        return real(self, other)
+
+    monkeypatch.setattr(comma.CommaObject, "__eq__", counting)
+    assert verify.run_suite("couniversal", max_vertices=4).passed
+    assert verify.run_suite("fullness").passed
+    assert distinct == 0
 
 
 def test_into_embedded_group_mutation_fails_group_reflection(monkeypatch):
