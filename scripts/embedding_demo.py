@@ -21,8 +21,6 @@ from commagraph import (
     raag_is_identity,
     raag_reduce,
     symmetric_group_3,
-    word_from_tokens,
-    word_to_tokens,
 )
 from commagraph.graphs import graph_to_json
 
@@ -48,10 +46,10 @@ def main() -> None:
 
     raag = Raag(path)
     for tokens in (["a", "b", "-a", "-b"], ["a", "c", "-a", "-c"], ["b", "a", "c", "-a"]):
-        word = word_from_tokens(tokens)
+        word = raag.element_from_json(tokens)
         reduced = raag_reduce(raag, word)
         print(
-            f"word {' '.join(tokens)}  ->  {' '.join(word_to_tokens(reduced)) or '(empty)'}"
+            f"word {' '.join(tokens)}  ->  {' '.join(raag.element_to_json(reduced)) or '(empty)'}"
             f"  identity={raag_is_identity(raag, word)}"
         )
 

@@ -37,12 +37,9 @@ from .groups import (
     hom_check,
     klein_four_group,
     raag_is_identity,
-    raag_oracle_is_identity,
     raag_reduce,
     symmetric_group_3,
     trivial_group,
-    word_from_tokens,
-    word_to_tokens,
 )
 from .comma import (
     CommaMorphism,

@@ -1,10 +1,13 @@
 """Computable groups: free groups, right-angled Artin groups, finite groups.
 
 Elements of free groups and RAAGs are words, i.e. sequences of signed
-generators, whose letters are checked once, where the engine encodes them.
-Equality of RAAG elements is decided by a one-pass cancellation engine,
-O(n*k) for n letters over k generators (Wrathall 1988), which each
-presented group builds once and holds (Raag.engine), and double-checked
+generators, whose letters are checked once, where the engine reads them:
+(generator, sign) pairs through encode, and word tokens, "a" for a letter
+and "-a" for its inverse, through the one token table that also writes
+them, so every word a group prints reads back as itself.  Equality of RAAG
+elements is decided by a one-pass cancellation engine, O(n*k) for n
+letters over k generators (Wrathall 1988), which each presented group
+builds once and holds (Raag.engine), and double-checked
 elsewhere by two oracles that use none of it.  The engine's one step folds
 letters into a cancellation state and has an exact undo, so a walk over
 many words that share prefixes redoes only the letters that change.  A
@@ -78,23 +81,6 @@ def as_word(value: Iterable) -> Word:
             raise MalformedInput(f"word letter {letter!r} is not a (generator, sign) pair")
         out.append((gen, sign))
     return tuple(out)
-
-
-def word_from_tokens(tokens: Iterable[str]) -> Word:
-    """Parse tokens like "a" and "-a" (the "-" prefix marks an inverse)."""
-    out = []
-    for token in tokens:
-        if not isinstance(token, str) or token in ("", "-"):
-            raise MalformedInput(f"bad word token {token!r}")
-        if token.startswith("-"):
-            out.append((token[1:], -1))
-        else:
-            out.append((token, 1))
-    return tuple(out)
-
-
-def word_to_tokens(w: Word) -> list[str]:
-    return [gen if sign > 0 else "-" + gen for gen, sign in w]
 
 
 # ---------------------------------------------------------------------------
@@ -195,12 +181,20 @@ class _RaagEngine:
         return codes, tokens
 
     def read_tokens(self, tokens: Sequence) -> list[int]:
-        """Letter codes of word tokens, one lookup each; on a token that
-        names no letter, word_from_tokens and encode raise their errors."""
+        """Letter codes of word tokens, one lookup each.  A word with a token
+        that names no letter is refused: malformed at its first token that
+        is no string or is "" or "-", else by the generator its first token
+        outside the table names, one leading "-" (an inverse) dropped."""
+        codes = self.token_table[0]
         try:
-            return list(map(self.token_table[0].__getitem__, tokens))
+            return list(map(codes.__getitem__, tokens))
         except (KeyError, TypeError):  # TypeError: an unhashable token
-            return list(self.encode(word_from_tokens(tokens)))
+            pass
+        for token in tokens:
+            if not isinstance(token, str) or token in ("", "-"):
+                raise MalformedInput(f"bad word token {token!r}")
+        unknown = next(token for token in tokens if token not in codes)
+        raise UnknownGenerator(f"{unknown.removeprefix('-')!r} is not a generator of this group")
 
     def write_tokens(self, enc: Sequence[int]) -> list[str]:
         """Word tokens of letter codes; a letter no token names is refused,
@@ -448,10 +442,6 @@ def raag_reduce(raag: Raag, w: Iterable) -> Word:
 
 def raag_is_identity(raag: Raag, w: Iterable) -> bool:
     return raag.engine.is_identity(raag.engine.encode(w))
-
-
-def raag_oracle_is_identity(raag: Raag, w: Iterable) -> bool:
-    return raag.engine.oracle_is_identity(raag.engine.encode(w))
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ PACKAGE = ROOT / "src" / "commagraph"
 
 # Public functions that nothing in src/ or scripts/ calls, each with why.
 WITHOUT_CALLER = {
-    "raag_oracle_is_identity": "the Tits oracle on one word; the engine's long-word tests compare against it",
     "identity_hom": "graph functor law; waits for the functor suite (ROADMAP item 5)",
     "compose_homs": "graph functor law; waits for the functor suite (ROADMAP item 5)",
     "identity_comma": "comma functor law; waits for the functor suite (ROADMAP item 5)",

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from commagraph.cli import _layout, main
 from commagraph.comma import comma_object_from_json, comma_object_to_json
 from commagraph.graphs import graph_from_json
-from commagraph.groups import Raag, raag_reduce, word_from_tokens, word_to_tokens
+from commagraph.groups import Raag, raag_reduce
 
 EDGE = {"vertices": ["a", "b"], "edges": [["a", "b"]]}
 DISCRETE2 = {"vertices": ["a", "b"], "edges": []}
@@ -263,7 +263,7 @@ def test_raag_reduce_cli_matches_the_library_on_long_words(write, capsys, densit
     letters = labels + ["-" + x for x in labels]
     u = [rng.choice(letters) for _ in range(5000)]
     for tokens in ([rng.choice(letters) for _ in range(10000)], u + _inverse_tokens(u)):
-        reduced = word_to_tokens(raag_reduce(raag, word_from_tokens(tokens)))
+        reduced = raag.element_to_json(raag_reduce(raag, raag.element_from_json(tokens)))
         note = f"reduced 10000 letters to {len(reduced)}\n"
         assert run(capsys, "raag-reduce", path, *tokens) == (0, _reduced(*reduced), note)
     assert reduced == []
@@ -326,6 +326,37 @@ def test_non_utf8_json_exits_2(tmp_path, capsys):
     code, out, err = run(capsys, "gamma", str(path))
     assert code == 2 and out == ""
     assert err.startswith("error: MalformedInput") and err.count("\n") == 1
+
+
+FREE = {"type": "free", "generators": ["a"]}
+# (command, input JSON, the one stderr line): each reader's refusals
+MALFORMED_INPUTS = [
+    ("commutation-graph", FREE, "MalformedInput: commutation graphs need a finite group"),
+    ("homs", FREE, "MalformedInput: hom enumeration needs a graph or a finite group"),
+    ("coreflect", {"gens": [], "target": C2}, 'MalformedInput: a comma object needs "gens", "target" and "images"'),
+    ("coreflect", {"gens": [], "target": C2, "images": []},
+     'MalformedInput: "images" must be an object keyed by generator'),
+    ("gamma", {"vertices": ["a"], "edges": [["z", "a"]]}, "UnknownVertex: edge endpoint 'z' is not a vertex"),
+    ("gamma", [], 'MalformedInput: a graph must be an object with "vertices" and "edges"'),
+    ("coreflect", {"gens": ["x"], "target": FREE, "images": {"x": "a"}},
+     "MalformedInput: an element of a presented group must be a word array"),
+    ("commutation-graph", [], 'MalformedInput: a group must be an object with a "type" field'),
+    ("commutation-graph", {"type": "raag"}, 'MalformedInput: a "raag" group needs a "presentation" graph'),
+    ("commutation-graph", {"type": "free"}, 'MalformedInput: a "free" group needs a "generators" array'),
+    ("commutation-graph", {"type": "cayley", "elements": []},
+     'MalformedInput: a "cayley" group needs "elements" and "table"'),
+    ("commutation-graph", {"type": "perm", "degree": 2}, 'MalformedInput: a "perm" group needs "degree" and "generators"'),
+    ("commutation-graph", {"type": "perm", "degree": "2", "generators": []},
+     'MalformedInput: "degree" must be an integer and "generators" an array'),
+    ("gamma", {"vertices": "ab"}, "MalformedInput: a finite set must be a JSON array of strings"),
+]
+
+
+@pytest.mark.parametrize("command, data, line", MALFORMED_INPUTS, ids=[line for *_, line in MALFORMED_INPUTS])
+def test_malformed_input_exits_2_with_one_line(write, capsys, command, data, line):
+    path = write("input.json", data)
+    argv = [write("edge.json", EDGE), path] if command == "homs" else [path]
+    assert run(capsys, command, *argv) == (2, "", f"error: {line}\n")
 
 
 def test_default_closure_cap_refuses_s7(write, capsys):

@@ -118,6 +118,19 @@ def test_identity_group_part_does_not_commute():
     assert not is_comma_morphism(m)
 
 
+def test_parts_between_other_objects_or_no_hom_are_rejected():
+    # the last two squares commute on generators, so only the parts' own
+    # checks refuse them
+    c2, c4 = cyclic_group(2), cyclic_group(4)
+    w = make_comma_object(make_set(["x"]), c4, {"x": "g"})
+    other_gens = identity_map(make_set(["y"]))
+    assert not is_comma_morphism(CommaMorphism(w, w, other_gens, identity_group_hom(c4)))
+    # C2's "g" is also a label of C4, so its identity maps w's image to itself
+    assert not is_comma_morphism(CommaMorphism(w, w, identity_map(w.gens), identity_group_hom(c2)))
+    constant = GroupHom(c4, c4, {x: "g" for x in c4.elements})  # sends e to g
+    assert not is_comma_morphism(CommaMorphism(w, w, identity_map(w.gens), constant))
+
+
 def test_equality_over_a_raag_compares_elements_not_words():
     raag = Raag(edge_graph())
     a, b, ia = ("a", 1), ("b", 1), ("a", -1)

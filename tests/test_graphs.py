@@ -114,6 +114,11 @@ def test_vertex_functor_laws():
     assert compose_homs(h, k).vmap == compose_maps(h.vmap, k.vmap)
 
 
+def test_compose_homs_rejects_a_mismatched_middle():
+    with pytest.raises(DomainMismatch):
+        compose_homs(identity_hom(edge_graph()), identity_hom(edge_graph("c", "d")))
+
+
 def test_enumerate_edge_to_edge():
     homs = enumerate_graph_homs(edge_graph(), edge_graph("c", "d"))
     assert [f.vmap.mapping for f in homs] == [

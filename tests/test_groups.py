@@ -27,7 +27,6 @@ from commagraph import (
     make_graph_hom,
     make_set,
     raag_is_identity,
-    raag_oracle_is_identity,
     raag_reduce,
     symmetric_group_3,
     trivial_group,
@@ -55,7 +54,6 @@ from commagraph.groups import (
     group_from_json,
     group_to_json,
     identity_group_hom,
-    word_from_tokens,
 )
 from commagraph.verify import graphs_up_to
 
@@ -154,7 +152,7 @@ def test_bad_letters_rejected_by_every_word_entry():
     entries = (
         lambda w: raag_reduce(raag, w),
         lambda w: raag_is_identity(raag, w),
-        lambda w: raag_oracle_is_identity(raag, w),
+        lambda w: raag.engine.oracle_is_identity(raag.engine.encode(w)),
         lambda w: raag.commutes(w, [A]),
         lambda w: raag.commutes([A], w),
         lambda w: raag.equal(w, [A]),
@@ -173,19 +171,51 @@ def test_bad_letters_rejected_by_every_word_entry():
 # word tokens
 
 TOKEN_LABELS = (["a", "b"], ["a", "-a"], ["", "a"], ["é", "𝄞"])
+
+
+def _bad(token):
+    return MalformedInput, f"bad word token {token!r}"
+
+
+def _unknown(gen):
+    return UnknownGenerator, f"{gen!r} is not a generator of this group"
+
+
+def _all(outcome):
+    return (outcome,) * len(TOKEN_LABELS)
+
+
+# Each word with what reading it gives over each label set of TOKEN_LABELS,
+# in order: its letter codes, or its error's type and message.  A malformed
+# token anywhere wins over an unknown generator, the first bad token is
+# named, and "-" marks an inverse only once.
 TOKEN_WORDS = (
-    [], ["a"], ["-a", "b", "-b"], ["--a"], ["é", "-𝄞", "𝄞"],
-    [""], ["-"], ["--"], ["---a"], ["z"], ["-z"], ["a", "-é"],
-    ["a", "z", "-"],  # an unknown generator before a bad token
-    ["z", "-z", ""],
-    ["a", "-", ""],  # "-" before ""
-    ["a", "", "-"],  # "" before "-"
-    ["a", 1], ["z", None], ["a", ["a", 1]], ["a", {"a": 1}],  # not strings, hashable or not
+    ([], ([], [], [], [])),
+    (["a"], ([0], [0], [2], _unknown("a"))),
+    (["-a", "b", "-b"], ([1, 2, 3], _unknown("b"), _unknown("b"), _unknown("a"))),
+    (["--a"], (_unknown("-a"), [3], _unknown("-a"), _unknown("-a"))),
+    (["é", "-𝄞", "𝄞"], (_unknown("é"), _unknown("é"), _unknown("é"), [0, 3, 2])),
+    ([""], _all(_bad(""))),
+    (["-"], _all(_bad("-"))),
+    (["--"], _all(_unknown("-"))),
+    (["---a"], _all(_unknown("--a"))),
+    (["z"], _all(_unknown("z"))),
+    (["-z"], _all(_unknown("z"))),
+    (["a", "-é"], (_unknown("é"), _unknown("é"), _unknown("é"), _unknown("a"))),
+    (["a", "z", "-"], _all(_bad("-"))),  # an unknown generator before a bad token
+    (["z", "-z", ""], _all(_bad(""))),
+    (["a", "-", ""], _all(_bad("-"))),  # "-" before ""
+    (["a", "", "-"], _all(_bad(""))),  # "" before "-"
+    # not strings, hashable or not
+    (["a", 1], _all(_bad(1))),
+    (["z", None], _all(_bad(None))),
+    (["a", ["a", 1]], _all(_bad(["a", 1]))),
+    (["a", {"a": 1}], _all(_bad({"a": 1}))),
 )
 
 
 def _outcome(read, tokens):
-    """What read makes of tokens: its letter codes, or its error's type and
+    """What read makes of tokens: its letters, or its error's type and
     message."""
     try:
         return list(read(tokens))
@@ -195,18 +225,17 @@ def _outcome(read, tokens):
 
 def _token_mismatches(read):
     """(labels, tokens) on which read(engine, tokens) differs from
-    word_from_tokens then encode, in the codes or in the error raised."""
+    TOKEN_WORDS, in the codes or in the error raised."""
     out = []
-    for labels in TOKEN_LABELS:
+    for i, labels in enumerate(TOKEN_LABELS):
         engine = Raag(discrete(make_set(labels))).engine
-        for tokens in TOKEN_WORDS:
-            want = _outcome(lambda t: engine.encode(word_from_tokens(t)), tokens)
-            if _outcome(lambda t: read(engine, t), tokens) != want:
+        for tokens, outcomes in TOKEN_WORDS:
+            if _outcome(lambda t: read(engine, t), tokens) != outcomes[i]:
                 out.append((labels, tokens))
     return out
 
 
-def test_token_reader_agrees_with_word_from_tokens_and_encode():
+def test_token_reader_returns_the_pinned_codes_or_errors():
     assert _token_mismatches(lambda engine, tokens: engine.read_tokens(tokens)) == []
 
 
@@ -234,11 +263,13 @@ def test_token_contract_catches_a_reader_that_checks_empty_tokens_first():
     assert len(mismatches) == len(TOKEN_LABELS)
 
 
-def test_element_from_json_agrees_with_word_from_tokens():
-    for labels in TOKEN_LABELS:
+def test_element_from_json_returns_the_pinned_words_or_errors():
+    for i, labels in enumerate(TOKEN_LABELS):
         raag = Raag(discrete(make_set(labels)))
-        for tokens in TOKEN_WORDS:
-            want = _outcome(lambda t: raag.validate_element(word_from_tokens(t)), tokens)
+        for tokens, outcomes in TOKEN_WORDS:
+            want = outcomes[i]
+            if isinstance(want, list):
+                want = [(labels[c >> 1], -1 if c & 1 else 1) for c in want]
             assert _outcome(raag.element_from_json, tokens) == want
     with pytest.raises(MalformedInput, match=re.escape("bad word token ['a', 1]")):
         edge_raag().element_from_json([["a", 1]])
@@ -273,13 +304,14 @@ def test_path_commutator_of_endpoints_is_not_identity():
     path = Raag(make_graph(make_set(["a", "b", "c"]), [("a", "b"), ("b", "c")]))
     endpoints = (A, ("c", 1), iA, ("c", -1))
     assert not raag_is_identity(path, endpoints)
-    assert not raag_oracle_is_identity(path, endpoints)
+    assert not path.engine.oracle_is_identity(path.engine.encode(endpoints))
 
 
 def test_oracle_examples():
-    assert raag_oracle_is_identity(edge_raag(), COMMUTATOR)
-    assert not raag_oracle_is_identity(discrete_raag(), COMMUTATOR)
-    assert raag_oracle_is_identity(edge_raag(), [])
+    edge, free = edge_raag().engine, discrete_raag().engine
+    assert edge.oracle_is_identity(edge.encode(COMMUTATOR))
+    assert not free.oracle_is_identity(free.encode(COMMUTATOR))
+    assert edge.oracle_is_identity(edge.encode([]))
 
 
 def test_engine_agrees_with_oracle_exhaustively_small():
@@ -289,7 +321,7 @@ def test_engine_agrees_with_oracle_exhaustively_small():
         letters = [(v, s) for v in g.vertices for s in (1, -1)]
         for length in range(6):
             for w in product(letters, repeat=length):
-                assert raag_is_identity(raag, w) == raag_oracle_is_identity(raag, w)
+                assert raag_is_identity(raag, w) == raag.engine.oracle_is_identity(raag.engine.encode(w))
 
 
 def test_oracle_identity_words_agree_with_tits_oracle():
@@ -372,7 +404,7 @@ def test_engine_belongs_to_its_raag_and_changes_no_equality():
 def test_engine_agrees_with_oracle_sampled(gw):
     g, w = gw
     raag = Raag(g)
-    assert raag_is_identity(raag, w) == raag_oracle_is_identity(raag, w)
+    assert raag_is_identity(raag, w) == raag.engine.oracle_is_identity(raag.engine.encode(w))
 
 
 def test_engine_agrees_with_oracle_near_identity():
@@ -404,7 +436,7 @@ def test_engine_agrees_with_oracle_near_identity():
             u = word(12, 99)
             w = u + word(1, 1) + word_inverse(u)
         trivial = raag_is_identity(raag, w)
-        assert trivial == raag_oracle_is_identity(raag, w), (edges, w)
+        assert trivial == raag.engine.oracle_is_identity(raag.engine.encode(w)), (edges, w)
         verdicts[shape, trivial] += 1
     assert verdicts[0, False] == verdicts[2, True] == 0
     assert verdicts[1, True] and verdicts[1, False]
@@ -792,6 +824,11 @@ def test_cyclic_group_2():
     assert c2.elements.labels == ("e", "g")
     assert c2.multiply("g", "g") == "e"
     assert c2.invert("g") == "g"
+
+
+def test_cyclic_group_needs_order_at_least_one():
+    with pytest.raises(MalformedInput, match="order at least 1"):
+        cyclic_group(0)
 
 
 def test_trivial_group():
@@ -1186,6 +1223,11 @@ def test_compose_group_homs_finite_domain():
     assert compose_group_homs(f, squaring) == GroupHom(c2, c4, {"e": "e", "g": "e"})
 
 
+def test_compose_group_homs_rejects_a_mismatched_middle():
+    with pytest.raises(InvalidHom):
+        compose_group_homs(identity_group_hom(cyclic_group(2)), identity_group_hom(cyclic_group(3)))
+
+
 def test_hom_check_finite_domain_missing_image():
     with pytest.raises(MissingImage):
         hom_check(GroupHom(cyclic_group(2), cyclic_group(4), {"e": "e"}))
@@ -1344,11 +1386,6 @@ def test_commutation_counit_evaluates():
 
 # ---------------------------------------------------------------------------
 # JSON forms
-
-def test_word_tokens_reject_bare_dash():
-    with pytest.raises(MalformedInput):
-        word_from_tokens(["-"])
-
 
 def test_cayley_json_round_trip():
     s3 = symmetric_group_3()

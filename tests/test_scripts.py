@@ -20,9 +20,31 @@ def run_script(*argv: str) -> subprocess.CompletedProcess:
     )
 
 
+PATH = {"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"]]}
+DEMO_STDOUT = "".join(
+    f"--- {title}\n{json.dumps(data, indent=2)}\n"
+    for title, data in [
+        ("path graph a-b-c as a comma object", {
+            "gens": ["a", "b", "c"],
+            "target": {"type": "raag", "presentation": PATH},
+            "images": {"a": ["a"], "b": ["b"], "c": ["c"]},
+        }),
+        ("its coreflection (the path again)", PATH),
+        ("two generators in a cyclic group coreflect to a complete graph",
+         {"vertices": ["x", "y"], "edges": [["x", "y"]]}),
+        ("a transposition and a rotation coreflect to a discrete graph", {"vertices": ["x", "y"], "edges": []}),
+    ]
+) + (
+    "word a b -a -b  ->  (empty)  identity=True\n"
+    "word a c -a -c  ->  a c -a -c  identity=False\n"
+    "word b a c -a  ->  a b c -a  identity=False\n"
+)
+
+
 def test_embedding_demo_runs():
     result = run_script("embedding_demo.py")
     assert result.returncode == 0, result.stderr
+    assert result.stdout == DEMO_STDOUT
 
 
 def test_run_checks_small_sweep_passes():

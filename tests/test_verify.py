@@ -6,7 +6,7 @@ import pytest
 from commagraph import comma, verify
 from commagraph.graphs import Graph, enumerate_graph_homs, graph_from_json
 from commagraph.groups import (
-    FiniteGroup, GroupHom, Raag, commutation_graph, enumerate_homs_raag_to_finite, word_from_tokens,
+    FiniteGroup, GroupHom, Raag, commutation_graph, enumerate_homs_raag_to_finite,
 )
 from commagraph.sets import SetMap, make_set
 
@@ -149,11 +149,12 @@ def test_word_differential_single_generator():
 def _replayed_verdict(ce) -> bool:
     """Replay a witness through the public API: the unmutated engine's and
     Tits oracle's common verdict on it."""
-    from commagraph import raag_is_identity, raag_oracle_is_identity
+    from commagraph import raag_is_identity
 
-    raag, w = Raag(graph_from_json(ce["presentation"])), word_from_tokens(ce["word"])
+    raag = Raag(graph_from_json(ce["presentation"]))
+    w = raag.element_from_json(ce["word"])
     fast = raag_is_identity(raag, w)
-    assert fast == raag_oracle_is_identity(raag, w)
+    assert fast == raag.engine.oracle_is_identity(raag.engine.encode(w))
     return fast
 
 
@@ -654,6 +655,25 @@ def test_into_embedded_group_mutation_fails_group_reflection(monkeypatch):
     report = verify.run_suite("group-reflection")
     assert not report.passed
     assert report.counterexample["reason"] == "unit is not a comma morphism"
+
+
+def test_a_non_hom_among_the_group_homs_fails_group_reflection(monkeypatch):
+    # into a nontrivial group the search also returns a map sending every
+    # element to one that is not the identity; the morphism it induces has
+    # no hom for its group part
+    real = verify.enumerate_homs_finite_to_finite
+
+    def with_a_non_hom(dom, cod):
+        homs = real(dom, cod)
+        other = next((x for x in cod.elements if x != cod.identity), None)
+        return homs if other is None else homs + [GroupHom(dom, cod, {a: other for a in dom.elements})]
+
+    monkeypatch.setattr(verify, "enumerate_homs_finite_to_finite", with_a_non_hom)
+    report = verify.run_suite("group-reflection")
+    assert not report.passed
+    assert report.counterexample["reason"] == "induced morphism into the embedded group does not commute"
+    assert sorted(report.counterexample) == ["codomain", "object", "reason"]
+    assert report.cases_checked == 4  # C2 into the trivial group, into C2 twice, then the non-hom
 
 
 # ---------------------------------------------------------------------------
