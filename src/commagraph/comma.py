@@ -165,7 +165,7 @@ def enumerate_morphisms_from_embedded_graph(g: Graph, w: CommaObject) -> list[Co
     src = embed_graph(g)
     t, labels = w.target, w.gens.labels
     images = [w.images[x] for x in labels]
-    commute = [[t.commutes(a, b) for b in images] for a in images]
+    commute = t.commute_table(images)
     edges = [(g.vertices.positions[u], g.vertices.positions[v]) for u, v in g.edges]
     out: list[CommaMorphism] = []
     for combo in product(range(len(labels)), repeat=len(g.vertices)):
@@ -192,12 +192,9 @@ def coreflect(w: CommaObject) -> Coreflection:
     embedded graph back into w by evaluating each generator at its image.
     """
     labels = w.gens.labels
-    t = w.target
+    commute = w.target.commute_table([w.images[x] for x in labels])
     edges = tuple(
-        (labels[i], labels[j])
-        for i in range(len(labels))
-        for j in range(i + 1, len(labels))
-        if t.commutes(w.images[labels[i]], w.images[labels[j]])
+        (labels[i], labels[j]) for i in range(len(labels)) for j in range(i + 1, len(labels)) if commute[i][j]
     )
     graph = Graph(w.gens, edges)
     return Coreflection(graph, _from_embedded(embed_graph(graph), w, identity_map(w.gens)))

@@ -118,44 +118,41 @@ def compose_homs(f: GraphHom, g: GraphHom) -> GraphHom:
 
 def _graph_hom_images(g: Graph, h: Graph) -> list[tuple[int, ...]]:
     """Every homomorphism g -> h as the tuple of h-indices of its vertex
-    images, by depth-first search in lexicographic storage order.
-
-    Vertices of g are assigned in storage order, every vertex of h is tried
-    as the image in storage order, and an image is kept when it lies in the
-    closed neighbour set of each earlier neighbour's image.  Each closed set
-    holds its own vertex, so a collapsed edge passes; a test costs the same
-    however many edges h has.
+    images, in lexicographic storage order, built one vertex of g at a time,
+    each level of partial tuples in one comprehension.  A vertex's
+    candidates are the sorted closed neighbourhood of its first earlier
+    neighbour's image (all of h if it has none), kept if each other earlier
+    neighbour's image's closed neighbourhood holds them; a closed
+    neighbourhood holds its own vertex, so a collapsed edge passes, and a
+    test costs the same however many edges h has.  Memory is the price: a
+    whole level is held, where a depth-first search held only its output,
+    so a domain whose middle level is pruned hard peaks at that level.
     """
-    earlier = [sorted(i for i in adj if i < j) for j, adj in enumerate(g.neighbours)]
-    neighbours = [adj | {i} for i, adj in enumerate(h.neighbours)]
-    images = range(len(neighbours))
-
-    out: list[tuple[int, ...]] = []
-    chosen = [0] * len(earlier)
-
-    def extend(i: int) -> None:
-        if i == len(chosen):
-            out.append(tuple(chosen))
-            return
-        tests = [neighbours[chosen[u]] for u in earlier[i]]
-        for c in images:
-            for adjacent in tests:
-                if c not in adjacent:
-                    break
-            else:
-                chosen[i] = c
-                extend(i + 1)
-
-    extend(0)
-    del extend  # the closure refers to itself; free the search's sets now
-    return out
+    closed_sets = [adj | {i} for i, adj in enumerate(h.neighbours)]
+    closed = [sorted(adj) for adj in closed_sets]
+    everything = range(len(closed))
+    level: list[tuple[int, ...]] = [()]
+    for j, adj in enumerate(g.neighbours):
+        earlier = sorted(i for i in adj if i < j)
+        if not earlier:
+            level = [t + (c,) for t in level for c in everything]
+        elif len(earlier) == 1:
+            level = [t + (c,) for t in level for c in closed[t[earlier[0]]]]
+        else:
+            first, second, *rest = earlier
+            level = [
+                t + (c,) for t in level
+                for others in [closed_sets[t[second]].intersection(*[closed_sets[t[u]] for u in rest])]
+                for c in closed[t[first]] if c in others
+            ]
+    return level
 
 
 def enumerate_graph_homs(g: Graph, h: Graph) -> list[GraphHom]:
     """All homomorphisms g -> h, in lexicographic storage order of their
-    vertex images: the homs of ``_graph_hom_images`` with labels attached.
-    Testing one candidate image costs one set lookup per earlier neighbour,
-    so its cost does not grow with the number of h's edges.
+    vertex images: the tuples of ``_graph_hom_images`` with labels attached.
+    Candidate images come from neighbour lists built once per call, so the
+    cost does not grow with the number of h's edges.
     """
     dom_vs, cod_vs = g.vertices.labels, h.vertices.labels
     return [

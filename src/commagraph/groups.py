@@ -34,7 +34,11 @@ A permutation closure derives its rows from the closure's own edges,
 a * x = (a * parent(x)) * g, by n^2 integer lookups.  The two directions
 between graphs and groups live here as well: a graph yields the RAAG
 presented by it, and a finite group yields its commutation graph (distinct
-elements joined iff they commute).
+elements joined iff they commute).  Each group type decides commutation in
+one place, commute_table, for every two of a list of elements at once: a
+presented group runs the engine once per unordered pair, a finite group
+reads its rows.  A finite group's commuting lists (FiniteGroup.commuting)
+feed the hom search out of a presented group, a generator at a time.
 """
 
 from __future__ import annotations
@@ -110,9 +114,20 @@ class Raag:
         return engine.is_identity(engine.encode(a) + _inverse_codes(engine.encode(b)))
 
     def commutes(self, a: Word, b: Word) -> bool:
+        return self.commute_table((a, b))[0][1]
+
+    def commute_table(self, elements: Sequence[Word]) -> list[list[bool]]:
+        """Whether each two of elements commute: each is encoded once, and
+        the engine tests the commutator u.v.u^-1.v^-1 once per unordered
+        pair, mirrored; an element commutes with itself."""
         engine = self.engine
-        u, v = engine.encode(a), engine.encode(b)
-        return engine.is_identity(u + v + _inverse_codes(u) + _inverse_codes(v))
+        codes = [engine.encode(x) for x in elements]
+        inverses = [_inverse_codes(u) for u in codes]
+        table = [[True] * len(codes) for _ in codes]
+        for i, (u, u_inv) in enumerate(zip(codes, inverses)):
+            for j in range(i + 1, len(codes)):
+                table[i][j] = table[j][i] = engine.is_identity(u + codes[j] + u_inv + inverses[j])
+        return table
 
     def validate_element(self, value) -> Word:
         return self.engine.decode(self.engine.encode(value))
@@ -470,8 +485,28 @@ class FiniteGroup:
         return a == b
 
     def commutes(self, a: str, b: str) -> bool:
-        i, j = self.elements.positions[a], self.elements.positions[b]
-        return self.rows[i][j] == self.rows[j][i]
+        return self.commute_table((a, b))[0][1]
+
+    def commute_table(self, elements: Sequence[str]) -> list[list[bool]]:
+        """Whether each two of elements commute, read from the rows."""
+        rows, positions = self.rows, self.elements.positions
+        indices = [positions[x] for x in elements]
+        return [[rows[i][j] == rows[j][i] for j in indices] for i in indices]
+
+    @cached_property
+    def commuting(self) -> list[list[int]]:
+        """For each element index, the ascending indices of the elements that
+        commute with it, itself included: the closed neighbourhoods of the
+        commutation graph, built once."""
+        rows = self.rows
+        out: list[list[int]] = [[] for _ in rows]
+        for i, row in enumerate(rows):
+            for j in range(i, len(rows)):
+                if row[j] == rows[j][i]:
+                    out[i].append(j)
+                    if j != i:
+                        out[j].append(i)
+        return out
 
     def validate_element(self, value) -> str:
         if value not in self.elements:
@@ -668,26 +703,12 @@ def symmetric_group_3() -> FiniteGroup:
     return finite_group_from_permutations(3, [(2, 1, 3), (2, 3, 1)])
 
 
-def _commuting(h: FiniteGroup) -> list[list[int]]:
-    """For each element index, the ascending indices of the elements that
-    commute with it, itself included."""
-    rows = h.rows
-    out: list[list[int]] = [[] for _ in rows]
-    for i, row in enumerate(rows):
-        for j in range(i, len(rows)):
-            if row[j] == rows[j][i]:
-                out[i].append(j)
-                if j != i:
-                    out[j].append(i)
-    return out
-
-
 def commutation_graph(h: FiniteGroup) -> Graph:
     """Graph on the elements of h, distinct vertices adjacent iff they
     commute."""
     labels = h.elements.labels
     edges = tuple(
-        (labels[i], labels[j]) for i, row in enumerate(_commuting(h)) for j in row if j > i
+        (labels[i], labels[j]) for i, row in enumerate(h.commuting) for j in row if j > i
     )
     return Graph(h.elements, edges)
 
@@ -784,37 +805,29 @@ def compose_group_homs(f: GroupHom, g: GroupHom) -> GroupHom:
 def _raag_hom_images(raag: Raag, h: FiniteGroup) -> list[tuple[int, ...]]:
     """Every homomorphism from a presented group to a finite group as the
     tuple of h-indices of its generator images, in lexicographic storage
-    order.  A generator's candidates are the elements commuting with the
-    image of its first earlier neighbour, read from h's multiplication rows,
-    kept if they commute with the other earlier neighbours' images."""
-    earlier = [sorted(i for i in adj if i < j) for j, adj in enumerate(raag.presentation.neighbours)]
-    commuting = _commuting(h)
+    order, built a level at a time as ``graphs._graph_hom_images`` builds
+    its tuples but from h's rows, never a graph: a generator's candidates
+    are the elements commuting with its first earlier neighbour's image
+    (all of h if it has none), kept if they commute with the other earlier
+    neighbours' images."""
+    commuting = h.commuting
     commuting_sets = [set(row) for row in commuting]
-    everything = list(range(len(commuting)))
-
-    out: list[tuple[int, ...]] = []
-    chosen = [0] * len(earlier)
-
-    def extend(i: int) -> None:
-        if i == len(chosen):
-            out.append(tuple(chosen))
-            return
-        if not earlier[i]:
-            candidates = everything
+    everything = range(len(commuting))
+    level: list[tuple[int, ...]] = [()]
+    for j, adj in enumerate(raag.presentation.neighbours):
+        earlier = sorted(i for i in adj if i < j)
+        if not earlier:
+            level = [t + (c,) for t in level for c in everything]
+        elif len(earlier) == 1:
+            level = [t + (c,) for t in level for c in commuting[t[earlier[0]]]]
         else:
-            first, *rest = earlier[i]
-            candidates = commuting[chosen[first]]
-            if rest:
-                candidates = [
-                    c for c in candidates if all(c in commuting_sets[chosen[u]] for u in rest)
-                ]
-        for c in candidates:
-            chosen[i] = c
-            extend(i + 1)
-
-    extend(0)
-    del extend  # the closure refers to itself; free the search's sets now
-    return out
+            first, second, *rest = earlier
+            level = [
+                t + (c,) for t in level
+                for others in [commuting_sets[t[second]].intersection(*[commuting_sets[t[u]] for u in rest])]
+                for c in commuting[t[first]] if c in others
+            ]
+    return level
 
 
 def enumerate_homs_raag_to_finite(raag: Raag, h: FiniteGroup) -> list[GroupHom]:

@@ -127,12 +127,14 @@ def _ac_bijection(max_vertices: int, groups: list[FiniteGroup]) -> Cases:
     """Graph homs into the commutation graph correspond one for one with
     group homs out of the presented group.
 
-    Two distinct searches are compared as sets of index tuples: the graph
-    side tries every vertex of the commutation graph and tests adjacency
-    read from its edges, the group side draws candidates from the commuting
-    lists of the multiplication rows.  The tuples index the same list only
-    because the commutation graph's vertices are the group's elements, so
-    that is checked first, once per group.
+    Two distinct searches are compared as ordered lists of index tuples:
+    the graph side draws candidates from the closed neighbourhoods of the
+    commutation graph, read from its edges, the group side from the
+    commuting lists of the multiplication rows.  Each must emit its homs in
+    lexicographic storage order, so a side that finds the right homs in
+    another order fails too.  The tuples index the same list only because
+    the commutation graph's vertices are the group's elements, so that is
+    checked first, once per group.
     """
     targets = [(h, commutation_graph(h)) for h in groups]
     for h, h_graph in targets:
@@ -141,8 +143,8 @@ def _ac_bijection(max_vertices: int, groups: list[FiniteGroup]) -> Cases:
             return {"group": group_to_json(h), "commutation_graph": graph_to_json(h_graph), "reason": reason}
     for g in graphs_up_to(max_vertices):
         for h, h_graph in targets:
-            graph_side = set(_graph_hom_images(g, h_graph))
-            group_side = set(_raag_hom_images(Raag(g), h))
+            graph_side = _graph_hom_images(g, h_graph)
+            group_side = _raag_hom_images(Raag(g), h)
             yield None if graph_side == group_side else {
                 "graph": graph_to_json(g),
                 "group": group_to_json(h),
@@ -152,7 +154,9 @@ def _ac_bijection(max_vertices: int, groups: list[FiniteGroup]) -> Cases:
 
 
 def _dvi(max_vertices: int) -> Cases:
-    """Hom-count identities for the discrete and indiscrete constructions."""
+    """Hom-count identities for the discrete and indiscrete constructions:
+    |Gph(D(X), G)| = |V(G)|^|X| and |Gph(G, I(X))| = |X|^|V(G)|, each count
+    the length of the graph-hom search's tuple list."""
 
     def mismatch(x, g, side: str, homs: list, expected: int) -> dict | None:
         if len(homs) == expected:
@@ -164,8 +168,8 @@ def _dvi(max_vertices: int) -> Cases:
         x = make_set(_LABELS[:n])
         for g in graphs_up_to(max_vertices):
             v = len(g.vertices)
-            yield mismatch(x, g, "discrete", enumerate_graph_homs(discrete(x), g), v ** n) or mismatch(
-                x, g, "indiscrete", enumerate_graph_homs(g, indiscrete(x)), n ** v
+            yield mismatch(x, g, "discrete", _graph_hom_images(discrete(x), g), v ** n) or mismatch(
+                x, g, "indiscrete", _graph_hom_images(g, indiscrete(x)), n ** v
             )
 
 

@@ -816,6 +816,45 @@ def test_generators_commute_exactly_on_edges():
                 assert raag.commutes(((u, 1),), ((v, 1),)) == g.has_edge(u, v)
 
 
+def _engine_commutes(raag, a, b):
+    engine = raag.engine
+    u, v = engine.encode(a), engine.encode(b)
+    return engine.is_identity(u + v + tuple(c ^ 1 for c in reversed(u)) + tuple(c ^ 1 for c in reversed(v)))
+
+
+def test_commute_table_is_the_pairwise_commutator():
+    # every entry against the commutator of its own pair: the engine's for a
+    # presented group, two products for a finite one
+    from commagraph.verify import default_pool
+
+    cases = []
+    for seed in range(20):
+        for w in default_pool(seed):
+            cases.append((w.target, [w.images[x] for x in w.gens], w.target.multiply))
+    for g in graphs_up_to(4):
+        raag = Raag(g)
+        cases.append((raag, [((v, 1),) for v in g.vertices], None))
+    rng = random.Random(5)
+    for _ in range(200):
+        g = rng.choice(list(graphs_up_to(3))[1:])
+        labels = g.vertices.labels
+        words = [
+            tuple((rng.choice(labels), rng.choice((1, -1))) for _ in range(rng.randint(1, 3)))
+            for _ in range(rng.randint(1, 4))
+        ]
+        cases.append((Raag(g), words, None))
+    for group, elements, multiply in cases:
+        table = group.commute_table(elements)
+        for i, a in enumerate(elements):
+            for j, b in enumerate(elements):
+                if multiply is None:
+                    expected = _engine_commutes(group, a, b)
+                else:
+                    expected = multiply(a, b) == multiply(b, a)
+                assert table[i][j] == expected
+                assert group.commutes(a, b) == expected
+
+
 # ---------------------------------------------------------------------------
 # finite groups
 
@@ -1354,10 +1393,33 @@ def test_hom_set_bijection_up_to_order_8():
         assert graph_side == group_side
 
 
+def test_level_searches_match_brute_force_where_a_middle_level_is_pruned():
+    # d is adjacent to a, b and c, and a to b.  Into four disjoint edges the
+    # third level holds 128 tuples and only 32 of them extend, so the search
+    # holds more than its answer; every assignment is tried here instead
+    g = make_graph(make_set(["a", "b", "c", "d"]), [("a", "b"), ("a", "d"), ("b", "d"), ("c", "d")])
+    labels = [str(i) for i in range(8)]
+    matching = make_graph(make_set(labels), [(labels[i], labels[i + 1]) for i in range(0, 8, 2)])
+    edges = [(0, 1), (0, 3), (1, 3), (2, 3)]
+    expected = [
+        f for f in product(range(8), repeat=4) if all(f[u] // 2 == f[v] // 2 for u, v in edges)
+    ]
+    assert len(expected) == 64
+    assert _graph_hom_images(g, matching) == expected
+    for h in (symmetric_group_3(), _dihedral_group_4()):
+        labels = h.elements.labels
+        expected = [
+            f for f in product(range(len(labels)), repeat=4)
+            if all(h.multiply(labels[f[u]], labels[f[v]]) == h.multiply(labels[f[v]], labels[f[u]])
+                   for u, v in edges)
+        ]
+        assert _raag_hom_images(Raag(g), h) == expected
+
+
 def test_hom_searches_free_their_working_sets_at_once():
-    # each search recurses through a nested closure; left in place, the
-    # closure's reference to itself would keep the search's tuple list and
-    # lookup sets alive until a full collection
+    # neither search leaves a reference cycle (as a recursive closure that
+    # refers to itself would), so the search's tuple lists and lookup sets
+    # go at once, not at the next full collection
     s3 = symmetric_group_3()
     g = make_graph(make_set(["a", "b", "c"]), [("a", "b"), ("b", "c")])
     s3_graph = commutation_graph(s3)

@@ -530,6 +530,37 @@ def test_ac_bijection_graph_side_mutation_is_caught(monkeypatch):
     assert (report.counterexample["graph_homs"], report.counterexample["group_homs"]) == (15, 16)
 
 
+def test_ac_bijection_compares_the_hom_orders(monkeypatch):
+    # both sides must list their homs in lexicographic storage order, so the
+    # right homs in another order fail: the first graph with two homs into
+    # the first group, one vertex into C2
+    real = verify._graph_hom_images
+    monkeypatch.setattr(verify, "_graph_hom_images", lambda g, h: real(g, h)[::-1])
+    report = verify.run_suite("ac-bijection", max_vertices=3)
+    assert not report.passed
+    assert report.cases_checked == 6
+    assert report.counterexample["graph"] == {"vertices": ["a"], "edges": []}
+    assert (report.counterexample["graph_homs"], report.counterexample["group_homs"]) == (2, 2)
+
+
+def test_dvi_counts_the_graph_hom_tuples(monkeypatch):
+    # dvi counts the tuples of the graph-hom search: dropping the last hom
+    # of an edgeless domain into a graph with an edge fails the discrete
+    # side at its first such pair, one point into the edge
+    real = verify._graph_hom_images
+
+    def one_short(g, h):
+        homs = real(g, h)
+        return homs[:-1] if g.vertices and not g.edges and h.edges else homs
+
+    monkeypatch.setattr(verify, "_graph_hom_images", one_short)
+    report = verify.run_suite("dvi", max_vertices=3)
+    assert not report.passed
+    assert report.cases_checked == 16
+    assert report.counterexample["side"] == "discrete"
+    assert (report.counterexample["hom_count"], report.counterexample["expected"]) == (1, 2)
+
+
 def test_ac_bijection_checks_the_index_spaces_agree(monkeypatch):
     # the index tuples of the two sides are comparable only when the
     # commutation graph lists the group's elements in storage order
@@ -593,6 +624,27 @@ def test_group_reflection_unit_mutation_is_caught(monkeypatch):
     assert report.cases_checked == 20
     assert report.counterexample["reason"] == "unit is not a comma morphism"
     assert sorted(report.counterexample) == ["object", "reason"]
+
+
+@pytest.mark.parametrize("group_type, name, cases", [(Raag, "fullness", 22), (FiniteGroup, "couniversal", 670)])
+def test_a_commute_table_read_only_above_its_diagonal_is_caught(monkeypatch, group_type, name, cases):
+    # coreflect reads only pairs i < j, so a table whose lower triangle says
+    # "commutes" passes unit-iso; the morphism search reads both triangles
+    # and offers a set map that is no graph hom into the coreflection
+    real = group_type.commute_table
+
+    def lower_triangle_true(self, elements):
+        table = real(self, elements)
+        return [[True if j < i else x for j, x in enumerate(row)] for i, row in enumerate(table)]
+
+    monkeypatch.setattr(group_type, "commute_table", lower_triangle_true)
+    assert verify.run_suite("unit-iso").passed
+    report = verify.run_suite(name)
+    assert not report.passed
+    assert report.cases_checked == cases
+    assert sorted(report.counterexample) == _CASE_KEYS
+    assert report.counterexample["graph"] == {"vertices": ["a", "b"], "edges": [["a", "b"]]}
+    assert report.counterexample["factorizations"] == 0
 
 
 def _first_image_everywhere(monkeypatch):
