@@ -38,7 +38,11 @@ elements joined iff they commute).  Each group type decides commutation in
 one place, commute_table, for every two of a list of elements at once: a
 presented group runs the engine once per unordered pair, a finite group
 reads its rows.  A finite group's commuting lists (FiniteGroup.commuting)
-feed the hom search out of a presented group, a generator at a time.
+feed the hom search out of a presented group, a generator at a time.  A
+hom out of a presented group evaluates each one-letter word once and keeps
+its reduced value (GroupHom.letter_values), so composing many homs through
+one, as every hom of a suite goes through its object's counit, costs a
+lookup per letter.
 """
 
 from __future__ import annotations
@@ -293,7 +297,11 @@ class _RaagEngine:
         return [c for c in state[0] if c >= 0]
 
     def is_identity(self, enc: Sequence[int]) -> bool:
-        return not self.cancel_fixpoint(enc)
+        """Whether enc is trivial: whether its letters, pushed into a fresh
+        state, leave none live (see fresh_state)."""
+        state = self.fresh_state()
+        self.push(state, enc)
+        return len(state[0]) == len(state[3])
 
     def reduce(self, enc: Sequence[int]) -> list[int]:
         return self.lex_normal(self.cancel_fixpoint(enc))
@@ -732,13 +740,37 @@ class GroupHom:
         if self.dom != other.dom or self.cod != other.cod:
             return False
         mine, theirs = self.images, other.images
-        return set(mine) == set(theirs) and all(self.cod.equal(mine[k], theirs[k]) for k in mine)
+        # equal words are equal elements, so one dict comparison settles most
+        return mine == theirs or (
+            mine.keys() == theirs.keys() and all(self.cod.equal(mine[k], theirs[k]) for k in mine)
+        )
+
+    @cached_property
+    def letter_values(self) -> dict:
+        """The value of each one-letter word of a presented domain that
+        apply_hom has evaluated, keyed by the word as it was given: at most
+        two per generator, built up on reads."""
+        return {}
 
 
 def apply_hom(f: GroupHom, x):
-    """Image of an element of f's domain."""
+    """Image of an element of f's domain.  Out of a presented group a
+    one-letter word is evaluated once and its value kept on f
+    (letter_values); longer words, and words that are unhashable, such as
+    a list, go through evaluate_word on every call, and so does every word
+    that raises."""
     if isinstance(f.dom, Raag):
-        return evaluate_word(f.images, x, f.cod)
+        values = f.letter_values
+        try:
+            return values[x]
+        except (KeyError, TypeError):  # TypeError: an unhashable word
+            pass
+        value = evaluate_word(f.images, x, f.cod)
+        # only a word that is its own normal letter is kept, so the keys
+        # are at most the 2k letters of k generators
+        if type(x) is tuple and len(x) == 1 and x == as_word(x):
+            values[x] = value
+        return value
     if f.dom.validate_element(x) not in f.images:
         raise MissingImage(f"no image given for generator {x!r}")
     return f.images[x]

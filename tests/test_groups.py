@@ -774,6 +774,45 @@ def test_engine_is_fast_on_long_words():
     assert time.perf_counter() - start < 5.0
 
 
+def _is_identity_mismatch(is_identity):
+    """The first (graph, codes) on which is_identity, in the engine's place,
+    disagrees with an empty cancel_fixpoint: every word up to length 5 over
+    every labeled graph on <= 3 vertices, then seeded 2,000-letter random
+    words and u.u^-1 words over 20-vertex edgeless, half-dense and complete
+    graphs; None if there is none."""
+    for g in graphs_up_to(3):
+        engine = Raag(g).engine
+        letters = range(2 * len(g.vertices))
+        for n in range(6):
+            for w in product(letters, repeat=n):
+                if is_identity(engine, w) != (not engine.cancel_fixpoint(w)):
+                    return g, w
+    rng = random.Random(25)
+    for density in (0, 0.5, 1):
+        g = _twenty_vertices(density, rng)
+        engine = Raag(g).engine
+        u = [rng.randrange(40) for _ in range(1000)]
+        for w in ([rng.randrange(40) for _ in range(2000)], u + [c ^ 1 for c in reversed(u)]):
+            if is_identity(engine, w) != (not engine.cancel_fixpoint(w)):
+                return g, w
+    return None
+
+
+def test_is_identity_reads_the_live_count():
+    assert _is_identity_mismatch(_RaagEngine.is_identity) is None
+
+
+def test_is_identity_that_counts_kept_letters_is_caught():
+    # kept holds cancelled letters too, marked -1, so a word with a
+    # cancellation is never empty there
+    def kept_is_empty(engine, enc):
+        state = engine.fresh_state()
+        engine.push(state, enc)
+        return len(state[0]) == 0
+
+    assert _is_identity_mismatch(kept_is_empty) is not None
+
+
 def _plain_insertion_killers():
     """Words whose normal form plain insertion, with no budget, builds in
     quadratic time: their late letters commute with, and sort before, long
@@ -1278,6 +1317,93 @@ def test_apply_hom_finite_domain_missing_image():
         apply_hom(f, "g")
     with pytest.raises(UnknownElement):
         apply_hom(f, "g2")
+
+
+def _path_hom_into_itself():
+    """A hom from Raag(P3), the path a - b - c, into itself whose images are
+    no normal forms: a -> a.a^-1.b, b -> b.a, c -> c.b.c^-1; and the
+    reduced normal form each of its one-letter words must evaluate to."""
+    p3 = Raag(make_graph(make_set(["a", "b", "c"]), [("a", "b"), ("b", "c")]))
+    C, iC = ("c", 1), ("c", -1)
+    f = GroupHom(p3, p3, {"a": (A, iA, B), "b": (B, A), "c": (C, B, iC)})
+    values = {
+        (A,): (B,), (iA,): (iB,),
+        (B,): (A, B), (iB,): (iA, iB),
+        (C,): (B,), (iC,): (iB,),
+    }
+    return f, values
+
+
+def _letter_value_failures(apply):
+    """What apply, in apply_hom's place, gets wrong about the one-letter
+    words of _path_hom_into_itself: each against its reduced normal form,
+    the positive and inverse word of each generator on a first and on a
+    repeated call, the list form against the tuple form, and an unknown
+    generator, which must raise UnknownGenerator on every call."""
+    f, values = _path_hom_into_itself()
+    failures = []
+    for call in ("first", "repeated"):
+        for word, value in values.items():
+            if apply(f, word) != value:
+                failures.append((call, word))
+            if apply(f, list(word)) != value:
+                failures.append((call, "list", word))
+        for _ in range(2):
+            try:
+                apply(f, (("z", 1),))
+            except UnknownGenerator:
+                continue
+            failures.append((call, "unknown generator"))
+    return failures
+
+
+def test_one_letter_values_are_reduced_normal_forms_on_every_call():
+    f, values = _path_hom_into_itself()
+    assert hom_check(f)
+    assert all(raag_reduce(f.cod, evaluate_word(f.images, w, f.cod)) == v for w, v in values.items())
+    assert _letter_value_failures(apply_hom) == []
+    # a hom keeps at most one value per letter, never an error or a longer word
+    assert apply_hom(f, (A, B)) == (A, B, B)
+    for word in values:
+        apply_hom(f, word)
+    assert f.letter_values == values
+
+
+def test_one_letter_values_keyed_without_the_sign_are_caught():
+    def keyed_by_generator(f, x):
+        gen = x[0][0]
+        if len(x) == 1 and gen in f.letter_values:
+            return f.letter_values[gen]
+        value = evaluate_word(f.images, x, f.cod)
+        if len(x) == 1:
+            f.letter_values[gen] = value
+        return value
+
+    assert _letter_value_failures(keyed_by_generator) != []
+
+
+def test_one_letter_values_that_skip_reduce_are_caught():
+    def unreduced(f, x):
+        (gen, sign), = x
+        if gen not in f.images:
+            raise UnknownGenerator(gen)
+        return f.images[gen] if sign > 0 else word_inverse(f.images[gen])
+
+    assert _letter_value_failures(unreduced) != []
+
+
+def test_composing_through_a_hom_evaluates_each_letter_once(monkeypatch):
+    from commagraph import groups
+
+    f, values = _path_hom_into_itself()
+    calls = []
+    monkeypatch.setattr(groups, "evaluate_word", lambda *args: calls.append(args) or evaluate_word(*args))
+    identity = identity_group_hom(f.dom)
+    for _ in range(3):
+        composite = compose_group_homs(identity, f)
+        assert composite.images == {"a": values[(A,)], "b": values[(B,)], "c": values[(("c", 1),)]}
+    # the first composite evaluates each generator's letter; the others read it
+    assert len(calls) == 3
 
 
 def test_hom_check_finite_domain_matches_every_product():
