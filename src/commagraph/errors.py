@@ -59,6 +59,10 @@ class OrderCapExceeded(InputError):
     pass
 
 
+class HomCapExceeded(InputError):
+    pass
+
+
 class InvalidHom(InputError):
     pass
 

@@ -7,8 +7,9 @@ the adjoint triple discrete -| vertices -| indiscrete against finite sets.
 Edges are canonicalized on construction: each pair is ordered by vertex
 storage position and the edge list is sorted by those positions, so equal
 graphs compare equal and serialize identically.  A graph builds its
-neighbour sets of vertex positions once; edge tests, hom searches and the
-word engine all read them.
+neighbour sets of vertex positions once; edge tests, the word engine and
+the one hom search (_hom_images: into a graph, or the group it presents
+into a finite group, groups._raag_hom_images) all read them.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .errors import DomainMismatch, InvalidHom, LoopEdge, MalformedInput, UnknownVertex
+from .errors import DomainMismatch, HomCapExceeded, InvalidHom, LoopEdge, MalformedInput, UnknownVertex
 from .sets import (
     FiniteSet,
     SetMap,
@@ -27,6 +28,8 @@ from .sets import (
     identity_map,
     make_map,
 )
+
+HOM_CAP = 1_000_000  # partial homs one level of the hom search may hold
 
 
 @dataclass(frozen=True)
@@ -116,24 +119,32 @@ def compose_homs(f: GraphHom, g: GraphHom) -> GraphHom:
     return GraphHom(f.dom, g.cod, compose_maps(f.vmap, g.vmap))
 
 
-def _graph_hom_images(g: Graph, h: Graph) -> list[tuple[int, ...]]:
-    """Every homomorphism g -> h as the tuple of h-indices of its vertex
-    images, in lexicographic storage order, built one vertex of g at a time,
-    each level of partial tuples in one comprehension.  A vertex's
-    candidates are the sorted closed neighbourhood of its first earlier
-    neighbour's image (all of h if it has none), kept if each other earlier
-    neighbour's image's closed neighbourhood holds them; a closed
-    neighbourhood holds its own vertex, so a collapsed edge passes, and a
-    test costs the same however many edges h has.  Memory is the price: a
-    whole level is held, where a depth-first search held only its output,
-    so a domain whose middle level is pruned hard peaks at that level.
+def _hom_images(g: Graph, closed: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """Every map of g's vertices into range(len(closed)) that sends each
+    edge to some i and some j in closed[i], as the tuple of its images, in
+    lexicographic storage order; closed[i] is ascending, holds i, and holds
+    j iff closed[j] holds i.  Built one vertex of g at a time, each level of
+    partial tuples in one comprehension: a vertex's candidates are closed[]
+    of its first earlier neighbour's image (every index if it has none),
+    kept if the closed sets of its other earlier neighbours' images hold
+    them.  A whole level is held, so a domain whose middle level is pruned
+    hard peaks at that level.  A parent has at most len(closed) children,
+    so only a level that might pass HOM_CAP is counted, and one that would
+    raises HomCapExceeded before it is built.
     """
-    closed_sets = [adj | {i} for i, adj in enumerate(h.neighbours)]
-    closed = [sorted(adj) for adj in closed_sets]
+    closed_sets = [set(c) for c in closed]
     everything = range(len(closed))
     level: list[tuple[int, ...]] = [()]
     for j, adj in enumerate(g.neighbours):
         earlier = sorted(i for i in adj if i < j)
+        size = len(level) * len(closed)
+        if size > HOM_CAP and earlier:
+            first, *rest = earlier
+            size = sum(
+                len(closed_sets[t[first]].intersection(*[closed_sets[t[u]] for u in rest])) for t in level
+            )
+        if size > HOM_CAP:
+            raise HomCapExceeded(f"the hom search would hold {size} partial homs, over the cap of {HOM_CAP}")
         if not earlier:
             level = [t + (c,) for t in level for c in everything]
         elif len(earlier) == 1:
@@ -148,11 +159,18 @@ def _graph_hom_images(g: Graph, h: Graph) -> list[tuple[int, ...]]:
     return level
 
 
+def _graph_hom_images(g: Graph, h: Graph) -> list[tuple[int, ...]]:
+    """Every homomorphism g -> h as the tuple of h-indices of its vertex
+    images: the search over h's closed neighbourhoods."""
+    return _hom_images(g, [sorted(adj | {i}) for i, adj in enumerate(h.neighbours)])
+
+
 def enumerate_graph_homs(g: Graph, h: Graph) -> list[GraphHom]:
     """All homomorphisms g -> h, in lexicographic storage order of their
     vertex images: the tuples of ``_graph_hom_images`` with labels attached.
     Candidate images come from neighbour lists built once per call, so the
-    cost does not grow with the number of h's edges.
+    cost does not grow with the number of h's edges.  Raises HomCapExceeded
+    where the search would pass HOM_CAP.
     """
     dom_vs, cod_vs = g.vertices.labels, h.vertices.labels
     return [

@@ -37,10 +37,11 @@ presented by it, and a finite group yields its commutation graph (distinct
 elements joined iff they commute).  Each group type decides commutation in
 one place, commute_table, for every two of a list of elements at once: a
 presented group runs the engine once per unordered pair, a finite group
-reads its rows.  A finite group's commuting lists (FiniteGroup.commuting)
-feed the hom search out of a presented group, a generator at a time.  A
-hom out of a presented group evaluates each one-letter word once and keeps
-its reduced value (GroupHom.letter_values), so composing many homs through
+reads its rows; its commuting lists, that table read as index lists, feed
+the hom search out of a presented group.  Its commutation graph reads the
+rows itself, so ac-bijection compares two readings of them.  A hom out of
+a presented group evaluates each one-letter word once and keeps its
+reduced value (GroupHom.letter_values), so composing many homs through
 one, as every hom of a suite goes through its object's counit, costs a
 lookup per letter.
 """
@@ -50,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heapify, heappop, heappush
-from itertools import product
+from itertools import compress, product
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import (
@@ -65,7 +66,7 @@ from .errors import (
     UnknownElement,
     UnknownGenerator,
 )
-from .graphs import Graph, discrete, graph_from_json, graph_to_json
+from .graphs import Graph, _hom_images, discrete, graph_from_json, graph_to_json
 from .sets import FiniteSet, finite_set_from_json, make_set
 
 Word = tuple[tuple[str, int], ...]
@@ -504,17 +505,9 @@ class FiniteGroup:
     @cached_property
     def commuting(self) -> list[list[int]]:
         """For each element index, the ascending indices of the elements that
-        commute with it, itself included: the closed neighbourhoods of the
-        commutation graph, built once."""
-        rows = self.rows
-        out: list[list[int]] = [[] for _ in rows]
-        for i, row in enumerate(rows):
-            for j in range(i, len(rows)):
-                if row[j] == rows[j][i]:
-                    out[i].append(j)
-                    if j != i:
-                        out[j].append(i)
-        return out
+        commute with it, itself included: commute_table of every element,
+        read as index lists, built once."""
+        return [list(compress(range(len(row)), row)) for row in self.commute_table(self.elements.labels)]
 
     def validate_element(self, value) -> str:
         if value not in self.elements:
@@ -713,10 +706,11 @@ def symmetric_group_3() -> FiniteGroup:
 
 def commutation_graph(h: FiniteGroup) -> Graph:
     """Graph on the elements of h, distinct vertices adjacent iff they
-    commute."""
-    labels = h.elements.labels
+    commute, read from the rows apart from commute_table for ac-bijection."""
+    labels, rows = h.elements.labels, h.rows
     edges = tuple(
-        (labels[i], labels[j]) for i, row in enumerate(h.commuting) for j in row if j > i
+        (labels[i], labels[j])
+        for i, row in enumerate(rows) for j in range(i + 1, len(rows)) if row[j] == rows[j][i]
     )
     return Graph(h.elements, edges)
 
@@ -836,36 +830,16 @@ def compose_group_homs(f: GroupHom, g: GroupHom) -> GroupHom:
 
 def _raag_hom_images(raag: Raag, h: FiniteGroup) -> list[tuple[int, ...]]:
     """Every homomorphism from a presented group to a finite group as the
-    tuple of h-indices of its generator images, in lexicographic storage
-    order, built a level at a time as ``graphs._graph_hom_images`` builds
-    its tuples but from h's rows, never a graph: a generator's candidates
-    are the elements commuting with its first earlier neighbour's image
-    (all of h if it has none), kept if they commute with the other earlier
-    neighbours' images."""
-    commuting = h.commuting
-    commuting_sets = [set(row) for row in commuting]
-    everything = range(len(commuting))
-    level: list[tuple[int, ...]] = [()]
-    for j, adj in enumerate(raag.presentation.neighbours):
-        earlier = sorted(i for i in adj if i < j)
-        if not earlier:
-            level = [t + (c,) for t in level for c in everything]
-        elif len(earlier) == 1:
-            level = [t + (c,) for t in level for c in commuting[t[earlier[0]]]]
-        else:
-            first, second, *rest = earlier
-            level = [
-                t + (c,) for t in level
-                for others in [commuting_sets[t[second]].intersection(*[commuting_sets[t[u]] for u in rest])]
-                for c in commuting[t[first]] if c in others
-            ]
-    return level
+    tuple of h-indices of its generator images: the search of
+    ``graphs._hom_images`` over h's commuting lists, never a graph."""
+    return _hom_images(raag.presentation, h.commuting)
 
 
 def enumerate_homs_raag_to_finite(raag: Raag, h: FiniteGroup) -> list[GroupHom]:
     """All homomorphisms from a presented group to a finite group, as
     generator assignments with adjacent images commuting, in storage order:
-    the homs of ``_raag_hom_images`` with labels attached."""
+    the homs of ``_raag_hom_images`` with labels attached.  Raises
+    HomCapExceeded where the search would pass graphs.HOM_CAP."""
     gens, labels = raag.generators.labels, h.elements.labels
     return [
         GroupHom(raag, h, {v: labels[c] for v, c in zip(gens, images)})

@@ -127,14 +127,15 @@ def _ac_bijection(max_vertices: int, groups: list[FiniteGroup]) -> Cases:
     """Graph homs into the commutation graph correspond one for one with
     group homs out of the presented group.
 
-    Two distinct searches are compared as ordered lists of index tuples:
-    the graph side draws candidates from the closed neighbourhoods of the
-    commutation graph, read from its edges, the group side from the
-    commuting lists of the multiplication rows.  Each must emit its homs in
-    lexicographic storage order, so a side that finds the right homs in
-    another order fails too.  The tuples index the same list only because
-    the commutation graph's vertices are the group's elements, so that is
-    checked first, once per group.
+    One hom search runs on each side, from two readings of the rows: the
+    graph side draws candidates from the commutation graph's edges, which
+    commutation_graph reads from the rows itself, the group side from the
+    group's commute_table, which coreflect also reads.  So an error in
+    either reading fails here; fullness, dvi and couniversal check the
+    search.  Each side's ordered list of index tuples must be equal, so a
+    side that finds the right homs in another order fails too.  The tuples
+    index the same list only because the commutation graph's vertices are
+    the group's elements, so that is checked first, once per group.
     """
     targets = [(h, commutation_graph(h)) for h in groups]
     for h, h_graph in targets:

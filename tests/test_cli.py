@@ -1,8 +1,11 @@
+import importlib
 import json
 import os
 import random
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -364,6 +367,52 @@ def test_default_closure_cap_refuses_s7(write, capsys):
     code, out, err = run(capsys, "commutation-graph", write("s7.json", s7))
     assert code == 2 and out == ""
     assert err.startswith("error: OrderCapExceeded") and err.count("\n") == 1
+
+
+def _edgeless(n: int, prefix: str) -> dict:
+    return {"vertices": [f"{prefix}{i}" for i in range(n)], "edges": []}
+
+
+S4 = {"type": "perm", "degree": 4, "generators": [[2, 1, 3, 4], [2, 3, 4, 1]]}
+
+
+@pytest.mark.parametrize("dom, target, refused", [
+    (_edgeless(8, "v"), _edgeless(12, "w"), 12**6),  # 12^8 homs in all
+    (_edgeless(6, "v"), S4, 24**5),  # 24^6 homs in all
+], ids=["edgeless 8 -> edgeless 12", "edgeless 6 -> S4"])
+def test_homs_past_the_cap_exit_2_before_building_the_level(write, capsys, dom, target, refused):
+    from commagraph.graphs import HOM_CAP
+
+    argv = ["homs", write("dom.json", dom), write("target.json", target)]
+    start = time.perf_counter()
+    assert run(capsys, *argv) == (
+        2, "", f"error: HomCapExceeded: the hom search would hold {refused} partial homs, over the cap of {HOM_CAP}\n"
+    )
+    assert time.perf_counter() - start < 1.0
+    # the search holds only the last level under the cap, at most 24^4
+    # partial homs here (about 26 MiB); building the refused level, ten
+    # times that or more, before checking it would break this bound
+    tracemalloc.start()
+    try:
+        main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_the_benchmark_group_facts_hold(monkeypatch, capsys, tmp_path, seed):
+    # the benchmark checks each group-scale op against facts it derives
+    # without the library (class numbers, centralizer orders, its own
+    # permutation arithmetic), so Tier-1 runs them too, at the small size
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    ops = workloads.build("group-scale", seed, tmp_path, tiny=True, corrupt=False)
+    assert len(ops) == 9
+    for op in ops:
+        assert main(op.argv) == 0, op.label
+        assert op.check(json.loads(op.output.read_text())) is None, op.label
 
 
 TRIVIAL_PERM = {"type": "perm", "degree": 2, "generators": []}

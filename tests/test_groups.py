@@ -43,7 +43,7 @@ from commagraph.errors import (
     UnknownElement,
     UnknownGenerator,
 )
-from commagraph.graphs import _graph_hom_images
+from commagraph.graphs import HOM_CAP, _graph_hom_images
 from commagraph.groups import (
     GroupHom,
     Raag,
@@ -1558,6 +1558,14 @@ def test_hom_searches_free_their_working_sets_at_once():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_hom_cap_admits_path3_into_s6():
+    # the largest hom set measured as a CLI input stays under the cap, and
+    # so does each level of its search
+    s6 = finite_group_from_permutations(6, [(2, 1, 3, 4, 5, 6), (2, 3, 4, 5, 6, 1)])
+    path3 = make_graph(make_set(["a", "b", "c"]), [("a", "b"), ("b", "c")])
+    assert len(_raag_hom_images(Raag(path3), s6)) == 648_720 < HOM_CAP
 
 
 def test_commutation_counit_is_a_hom():

@@ -3,8 +3,8 @@ from itertools import combinations, product
 
 import pytest
 
-from commagraph import comma, verify
-from commagraph.graphs import Graph, enumerate_graph_homs, graph_from_json
+from commagraph import cli, comma, verify
+from commagraph.graphs import Graph, enumerate_graph_homs, graph_from_json, make_graph
 from commagraph.groups import (
     FiniteGroup, GroupHom, Raag, commutation_graph, enumerate_homs_raag_to_finite,
 )
@@ -575,6 +575,81 @@ def test_ac_bijection_checks_the_index_spaces_agree(monkeypatch):
     assert not report.passed
     assert report.cases_checked == 0
     assert sorted(report.counterexample) == ["commutation_graph", "group", "reason"]
+
+
+def _commute_table_says(commutes: bool):
+    """A FiniteGroup.commute_table that gives its answer for the elements
+    at storage positions 1 and 2.  Of the suite's groups, adding the pair
+    changes only S3, and dropping it every other group of order 3 or more."""
+    real = FiniteGroup.commute_table
+
+    def mutated(self, elements):
+        table = real(self, elements)
+        positions = [self.elements.positions[x] for x in elements]
+        for a, i in enumerate(positions):
+            for b, j in enumerate(positions):
+                if {i, j} == {1, 2}:
+                    table[a][b] = commutes
+        return table
+
+    return FiniteGroup, "commute_table", mutated
+
+
+def _commutation_graph_says(adjacent: bool):
+    """A commutation_graph that gives its answer for the elements at
+    storage positions 1 and 2."""
+    real = verify.commutation_graph
+
+    def mutated(h):
+        g = real(h)
+        pair = tuple(g.vertices.labels[1:3])
+        edges = [e for e in g.edges if e != pair] + ([pair] if adjacent and len(pair) == 2 else [])
+        return make_graph(g.vertices, edges)
+
+    return verify, "commutation_graph", mutated
+
+
+@pytest.mark.parametrize("mutation, cases, counts", [
+    # the group's own reading of commutation, which coreflect also reads
+    (_commute_table_says(False), 17, (9, 7)),
+    (_commute_table_says(True), 20, (18, 20)),
+    # C(H)'s edges, read from the rows by commutation_graph alone
+    (_commutation_graph_says(False), 17, (7, 9)),
+    (_commutation_graph_says(True), 20, (20, 18)),
+], ids=["commute_table drops", "commute_table adds", "commutation_graph drops", "commutation_graph adds"])
+def test_ac_bijection_compares_two_readings_of_commutation(monkeypatch, capsys, mutation, cases, counts):
+    # the two sides read the multiplication rows apart, so an error in
+    # either reading of the pair at positions 1 and 2 fails ac-bijection,
+    # and so check all
+    monkeypatch.setattr(*mutation)
+    report = verify.run_suite("ac-bijection")
+    assert not report.passed
+    assert report.cases_checked == cases
+    assert (report.counterexample["graph_homs"], report.counterexample["group_homs"]) == counts
+    assert cli.main(["check", "all", "--max-word-len", "1"]) == 1
+    assert "ac-bijection: FAILED" in capsys.readouterr().err
+
+
+def test_the_shared_hom_search_is_checked_by_the_suites_that_count_homs(monkeypatch):
+    # both sides of ac-bijection run the one search, so a search that drops
+    # its last tuple wherever it finds more than one leaves them equal; the
+    # suites that count homs against closed forms or morphisms catch it, at
+    # the first pair with two homs
+    from commagraph import graphs, groups
+
+    real = graphs._hom_images
+
+    def one_short(g, closed):
+        homs = real(g, closed)
+        return homs[:-1] if len(homs) > 1 else homs
+
+    for module in (graphs, groups):
+        monkeypatch.setattr(module, "_hom_images", one_short)
+    assert verify.run_suite("ac-bijection").passed
+    for name, cases in (("fullness", 16), ("dvi", 15), ("couniversal", 16)):
+        report = verify.run_suite(name)
+        assert not report.passed
+        assert report.cases_checked == cases
 
 
 def test_dvi_mutation_is_caught(monkeypatch):
