@@ -3,8 +3,9 @@
 
 Shows a path graph going in and coming back unchanged, a comma object over
 an abelian group coreflecting to a complete graph, the standard
-noncommuting witness in S3 coreflecting to a discrete graph, and a couple
-of word reductions in the presented group of a path.
+noncommuting witness in S3 coreflecting to a discrete graph, a couple of
+word reductions in the presented group of a path, and the bijection between
+homs out of that group into S3 and graph homs into S3's commutation graph.
 """
 
 import json
@@ -12,9 +13,12 @@ import json
 from commagraph import (
     Raag,
     comma,
+    commutation_graph,
     coreflect,
     cyclic_group,
     embed_graph,
+    enumerate_graph_homs,
+    enumerate_homs_raag_to_finite,
     make_comma_object,
     make_graph,
     make_set,
@@ -52,6 +56,14 @@ def main() -> None:
             f"word {' '.join(tokens)}  ->  {' '.join(raag.element_to_json(reduced)) or '(empty)'}"
             f"  identity={raag_is_identity(raag, word)}"
         )
+
+    s3 = symmetric_group_3()
+    group_homs = enumerate_homs_raag_to_finite(raag, s3)
+    graph_homs = enumerate_graph_homs(path, commutation_graph(s3))
+    print(f"homs from the group of a-b-c into S3: {len(group_homs)}")
+    print(f"graph homs from a-b-c into the commutation graph of S3: {len(graph_homs)}")
+    same = [f.images for f in group_homs] == [f.vmap.mapping for f in graph_homs]
+    print(f"the same vertex assignments, in the same order: {same}")
 
 
 if __name__ == "__main__":

@@ -23,15 +23,8 @@ from .comma import (
     embed_graph,
 )
 from .errors import InputError, MalformedInput, UsageError
-from .graphs import enumerate_graph_homs, graph_from_json, graph_to_json
-from .groups import (
-    FiniteGroup,
-    Raag,
-    commutation_graph,
-    enumerate_homs_raag_to_finite,
-    group_from_json,
-    group_to_json,
-)
+from .graphs import _graph_hom_images, graph_from_json, graph_to_json
+from .groups import FiniteGroup, Raag, _raag_hom_images, commutation_graph, group_from_json, group_to_json
 
 
 class _Parser(argparse.ArgumentParser):
@@ -53,9 +46,9 @@ def _layout(value, pad: str = "\n") -> str:
     are all strings.  CPython runs its C encoder only when ``indent`` is
     None; with an indent every value goes through the generator-based
     encoder in ``json/encoder.py``, which yields one chunk per token and
-    took most of the time of a large ``homs`` result.  Here each container
-    is one join of its items, each string one call of the C quoting
-    function, and every other scalar is left to ``json.dumps``."""
+    took most of the time of a large result.  Here each container is one
+    join of its items, each string one call of the C quoting function,
+    and every other scalar is left to ``json.dumps``."""
     if isinstance(value, dict) and value:
         inner = pad + "  "
         items = [
@@ -71,11 +64,16 @@ def _layout(value, pad: str = "\n") -> str:
 
 
 def _emit(data, args) -> None:
-    text = _layout(data) + "\n"
+    _write([_layout(data), "\n"], args)
+
+
+def _write(pieces, args) -> None:
+    """Writes a result's text in the pieces given: no copy joins them."""
     if args.output:
-        Path(args.output).write_text(text)
+        with Path(args.output).open("w") as out:
+            out.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def _note(message: str) -> None:
@@ -118,31 +116,38 @@ def _cmd_commutation_graph(args) -> int:
     return 0
 
 
+def _hom_text(head: str, keys, labels, homs: list[tuple[int, ...]]):
+    """A homs result in pieces: head, the _layout of the other fields, then
+    "homs" as _layout lays out a list of dicts, each tuple read as the dict
+    from keys to the labels at its indices.  A %-template made once from
+    the quoted keys takes each tuple's quoted labels: no dict per hom."""
+    yield head[:-2] + ',\n  "homs": '  # head ends "\n}"
+    if not homs:
+        yield "[]\n}\n"
+        return
+    fields = ",\n      ".join(_quote(k).replace("%", "%%") + ": %s" for k in keys)
+    template = ",\n    {\n      " + fields + "\n    }" if keys else ",\n    {}"
+    quoted = [_quote(x) for x in labels]
+    rows = (template % tuple([quoted[i] for i in t]) for t in homs)
+    yield "[" + next(rows)[1:]  # each row leads with its comma, the first with the bracket
+    yield from rows
+    yield "\n  ]\n}\n"
+
+
 def _cmd_homs(args) -> int:
     g = graph_from_json(_load_json(args.graph))
     other = _load_json(args.target)
     if isinstance(other, dict) and "vertices" in other:
         h = graph_from_json(other)
-        homs = enumerate_graph_homs(g, h)
-        payload = {
-            "count": len(homs),
-            "dom": graph_to_json(g),
-            "cod": graph_to_json(h),
-            "homs": [f.vmap.mapping for f in homs],  # keyed in g.vertices order
-        }
+        key, target, labels, homs = "cod", graph_to_json(h), h.vertices.labels, _graph_hom_images(g, h)
     else:
         h = group_from_json(other)
         if not isinstance(h, FiniteGroup):
             raise MalformedInput("hom enumeration needs a graph or a finite group")
-        homs = enumerate_homs_raag_to_finite(Raag(g), h)
-        payload = {
-            "count": len(homs),
-            "dom": graph_to_json(g),
-            "group": group_to_json(h),
-            "homs": [f.images for f in homs],  # keyed in g.vertices order
-        }
-    _note(f"{payload['count']} homomorphisms")
-    _emit(payload, args)
+        key, target, labels, homs = "group", group_to_json(h), h.elements.labels, _raag_hom_images(Raag(g), h)
+    _note(f"{len(homs)} homomorphisms")
+    head = _layout({"count": len(homs), "dom": graph_to_json(g), key: target})
+    _write(_hom_text(head, g.vertices.labels, labels, homs), args)
     return 0
 
 

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from commagraph.cli import _layout, main
 from commagraph.comma import comma_object_from_json, comma_object_to_json
-from commagraph.graphs import graph_from_json
-from commagraph.groups import Raag, raag_reduce
+from commagraph.graphs import enumerate_graph_homs, graph_from_json, graph_to_json
+from commagraph.groups import Raag, enumerate_homs_raag_to_finite, group_from_json, group_to_json, raag_reduce
 
 EDGE = {"vertices": ["a", "b"], "edges": [["a", "b"]]}
 DISCRETE2 = {"vertices": ["a", "b"], "edges": []}
@@ -496,6 +496,63 @@ def test_homs_into_single_vertex(write, capsys):
     code, out, _ = run(capsys, "homs", write("edge.json", EDGE), write("point.json", point))
     assert code == 0
     assert json.loads(out)["count"] == 1
+
+
+ODD_LABELS = ["%", "%s", "%%", "{0}", '"', "\\", "é", "𝄞", ""]
+EMPTY = {"vertices": [], "edges": []}
+
+
+def _path(labels: list[str]) -> dict:
+    return {"vertices": labels, "edges": [[u, v] for u, v in zip(labels, labels[1:])]}
+
+
+def _cyclic(labels: list[str]) -> dict:
+    n = len(labels)
+    return {"type": "cayley", "elements": labels, "table": [[labels[(i + j) % n] for j in range(n)] for i in range(n)]}
+
+
+@pytest.mark.parametrize("dom, target", [
+    (_path(ODD_LABELS), {"vertices": ODD_LABELS, "edges": [["%s", "{0}"]]}),  # 519 homs
+    (_path(ODD_LABELS), _cyclic(["%s", ""])),  # 512 homs
+    (_path(["%", "{0}"]), _cyclic(ODD_LABELS)),  # 81 homs
+    (EMPTY, {"vertices": ["%s"], "edges": []}),
+    (EMPTY, _cyclic(["%"])),
+    (_path(ODD_LABELS), EMPTY),
+    (EMPTY, EMPTY),
+], ids=["graph", "group", "group labels", "empty dom", "empty dom group", "into empty", "empty into empty"])
+def test_homs_prints_the_public_enumerators_byte_for_byte(write, capsys, tmp_path, dom, target):
+    # the payload comes from hom objects, laid out by the stdlib encoder;
+    # keys holding "%" catch a row template that does not escape them
+    g = graph_from_json(dom)
+    if "vertices" in target:
+        h = graph_from_json(target)
+        key, target_json, homs = "cod", graph_to_json(h), [f.vmap.mapping for f in enumerate_graph_homs(g, h)]
+    else:
+        h = group_from_json(target)
+        key, target_json = "group", group_to_json(h)
+        homs = [f.images for f in enumerate_homs_raag_to_finite(Raag(g), h)]
+    payload = {"count": len(homs), "dom": graph_to_json(g), key: target_json, "homs": homs}
+    text = json.dumps(payload, indent=2) + "\n"
+    argv = ["homs", write("dom.json", dom), write("target.json", target)]
+    assert run(capsys, *argv) == (0, text, f"{len(homs)} homomorphisms\n")
+    saved = tmp_path / "saved.json"
+    assert run(capsys, *argv, "--output", str(saved)) == (0, "", f"{len(homs)} homomorphisms\n")
+    assert saved.read_text() == text
+
+
+def test_homs_holds_no_object_per_hom(write, capsys):
+    # 90,000 homs print about 4.2 MiB; the index tuples, written a row
+    # at a time, peak near 15 MiB; a hom object and dict per hom, near 51
+    argv = ["homs", write("two.json", _edgeless(2, "v")), write("points.json", _edgeless(300, "w"))]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out = capsys.readouterr().out
+    assert code == 0 and json.loads(out)["count"] == 90_000
+    assert peak < 32 * 2**20
 
 
 TOKENLESS = {"vertices": ["a", "-a"], "edges": [["a", "-a"]]}  # "-a" would read back as a^-1

@@ -38,6 +38,9 @@ DEMO_STDOUT = "".join(
     "word a b -a -b  ->  (empty)  identity=True\n"
     "word a c -a -c  ->  a c -a -c  identity=False\n"
     "word b a c -a  ->  a b c -a  identity=False\n"
+    "homs from the group of a-b-c into S3: 66\n"
+    "graph homs from a-b-c into the commutation graph of S3: 66\n"
+    "the same vertex assignments, in the same order: True\n"
 )
 
 
