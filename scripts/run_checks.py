@@ -41,6 +41,8 @@ def main() -> int:
     add("group-reflection", "group-reflection")
     for length in range(4, args.max_word_len + 1):
         add(f"word-differential len <= {length}", "word-differential", max_len=length, random_words=0)
+    # the random phase alone: the exhaustive phase is then the empty word on the empty graph
+    add("word-differential random", "word-differential", max_vertices=0, max_len=0)
 
     try:  # every row's bounds before any suite runs, as the CLI does
         for _, name, bounds in plan:

@@ -413,13 +413,18 @@ class _RaagEngine:
         noncommuting = self.noncommuting
         f = [1] * len(noncommuting)
         for c in enc:
-            for s in (c, c ^ 1):
-                fs = f[s]
-                twice = 2 * fs
-                for t in noncommuting[s]:
-                    f[t] += twice
-                f[s] = -fs  # B(s,s) = 1
-        return all(x == 1 for x in f)
+            fs = f[c]
+            twice = 2 * fs
+            for t in noncommuting[c]:
+                f[t] += twice
+            f[c] = -fs  # B(c,c) = 1
+            c ^= 1
+            fs = f[c]
+            twice = 2 * fs
+            for t in noncommuting[c]:
+                f[t] += twice
+            f[c] = -fs
+        return f.count(1) == len(f)
 
     def oracle_identity_words(self, max_len: int) -> list[set[tuple[int, ...]]]:
         """Every identity word of each length 0..max_len, by a rewriting read

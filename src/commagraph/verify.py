@@ -23,7 +23,7 @@ import random
 from dataclasses import dataclass, field
 from itertools import combinations, product
 from math import comb
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from . import comma
 from .errors import NotFactorable, UnknownSuite, UsageError
@@ -260,20 +260,25 @@ def _word_differential(
     then on a seeded batch of random words over random graphs.
 
     The exhaustive phase reads a swap-and-cancel rewriting upward: each
-    graph's identity words of every length are built once, and each word is
-    looked up in them.  The engine walks each length's words in product
-    order with one cancellation state, as an odometer turns: it undoes the
-    letters from the last one that moved and pushes the new ones, and a word
-    is trivial iff no letter of the state is live.  The random phase, whose
-    graphs and lengths would make those sets far too large, tests each word
-    in the Tits representation of a right-angled Coxeter group, linear in
-    its length, against the engine's is_identity.  Its graphs are drawn one
-    edge at a time, as bits over the pairs in graphs_on's order, and each
-    distinct one, of at most 2^C(n,2) on n labels, is built once per call: a
-    table keyed by the vertex count and the bits holds its Raag, which owns
-    the engine."""
+    graph's identity words of every length are built once, and each
+    length's are indexed by the rank of their prefix, the word less its
+    last letter, in product order.  The engine walks each length's words in
+    product order with one cancellation state.  An odometer turns over the
+    prefixes: it undoes the letters from the last one that moved and pushes
+    the new ones.  Under each prefix every last letter is pushed, the word
+    read as trivial iff no letter of the state is live, and the letter
+    undone; the rewriting's verdict is whether that letter ends one of the
+    prefix's identity words.  The random phase, whose graphs and lengths
+    would make those sets far too large, tests each word in the Tits
+    representation of a right-angled Coxeter group, linear in its length,
+    against the engine's is_identity.  Its words are rng's randint, random
+    and randrange draws, made from getrandbits as those make them.  Its
+    graphs are drawn one edge at a time, as bits over the pairs in
+    graphs_on's order, and each distinct one, of at most 2^C(n,2) on n
+    labels, is built once per call: a table keyed by the vertex count and
+    the bits holds its Raag, which owns the engine."""
 
-    def disagreement(raag: Raag, codes: tuple[int, ...], fast: bool, oracle: bool) -> dict:
+    def disagreement(raag: Raag, codes: Sequence[int], fast: bool, oracle: bool) -> dict:
         presentation = graph_to_json(raag.presentation)
         word = raag.engine.write_tokens(codes)
         return {"presentation": presentation, "word": word, "fast": fast, "oracle": oracle}
@@ -283,35 +288,72 @@ def _word_differential(
         engine = raag.engine
         push, undo = engine.push, engine.undo
         trivial = engine.oracle_identity_words(max_len)
-        letters = range(2 * len(g.vertices))
-        for length in range(max_len + 1):
-            identities = trivial[length]
+        base = 2 * len(g.vertices)
+        letters = range(base)
+        ones = [(c,) for c in letters]
+        kept, _, _, cancelled = engine.fresh_state()
+        fast, oracle = len(kept) == len(cancelled), () in trivial[0]
+        yield None if fast == oracle else disagreement(raag, (), fast, oracle)
+        for length in range(1, max_len + 1):
+            # each prefix's rank in product order -> the last letters of its
+            # identity words, as bits: a slot per prefix, not a tuple per
+            # identity word, which at one vertex and length 20 would double
+            # the peak memory of the sets.  The set is spent once indexed.
+            ends = [0] * base ** (length - 1)
+            for w in trivial[length]:
+                rank = 0
+                for c in w[:-1]:
+                    rank = rank * base + c
+                ends[rank] |= 1 << w[-1]
+            trivial[length].clear()
             state = engine.fresh_state()
             kept, _, _, cancelled = state
             last: tuple[int, ...] = ()
-            for codes in product(letters, repeat=length):
+            for rank, prefix in enumerate(product(letters, repeat=length - 1)):
                 # the letters after the last nonzero one wrapped round to 0,
-                # so the word is new from that one on (from 0 at the first word)
-                i = length - 1
-                while i > 0 and not codes[i]:
+                # so the prefix is new from that one on (from 0 at the first)
+                i = length - 2
+                while i > 0 and not prefix[i]:
                     i -= 1
                 undo(state, last[i:])
-                push(state, codes[i:])
-                last = codes
-                fast = len(kept) == len(cancelled)
-                oracle = codes in identities
-                yield None if fast == oracle else disagreement(raag, codes, fast, oracle)
+                push(state, prefix[i:])
+                last = prefix
+                end = ends[rank]
+                for c, one in enumerate(ones):
+                    push(state, one)
+                    fast = len(kept) == len(cancelled)
+                    undo(state, one)
+                    oracle = end >> c & 1 == 1
+                    yield None if fast == oracle else disagreement(raag, (*prefix, c), fast, oracle)
+
+    # rng.randrange(m) draws r = rng.getrandbits(m.bit_length()) until r < m,
+    # and rng.randint(a, b) is a + randrange(b - a + 1): below makes the same
+    # draws, and the letters' loop inlines it
+    getrandbits, uniform = rng.getrandbits, rng.random
+
+    def below(m: int) -> int:
+        k = m.bit_length()
+        r = getrandbits(k)
+        while r >= m:
+            r = getrandbits(k)
+        return r
 
     raags = {}  # (n, bits) -> the group that graph presents
-    randint, uniform, randrange = rng.randint, rng.random, rng.randrange
     for _ in range(random_words):
-        n = randint(1, _RANDOM_MAX_VERTICES)
+        n = 1 + below(_RANDOM_MAX_VERTICES)
         bits = sum([1 << k for k in range(comb(n, 2)) if uniform() < 0.5])
         if (n, bits) not in raags:
             raags[n, bits] = Raag(_labelled_graph(n, bits))
         raag = raags[n, bits]
-        length = randint(0, _RANDOM_MAX_LEN)
-        codes = tuple([randrange(2 * n) for _ in range(length)])
+        length = below(_RANDOM_MAX_LEN + 1)
+        m = 2 * n
+        k = m.bit_length()
+        codes = []
+        for _ in range(length):
+            c = getrandbits(k)
+            while c >= m:
+                c = getrandbits(k)
+            codes.append(c)
         fast, oracle = raag.engine.is_identity(codes), raag.engine.oracle_is_identity(codes)
         yield None if fast == oracle else disagreement(raag, codes, fast, oracle)
 

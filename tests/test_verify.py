@@ -1,3 +1,4 @@
+import random
 import time
 from itertools import combinations, product
 
@@ -371,6 +372,117 @@ def test_word_differential_blocking_table_mutation_is_caught(monkeypatch):
     ce = report.counterexample
     monkeypatch.undo()
     assert _replayed_verdict(ce) == ce["oracle"] != ce["fast"]
+
+
+def _engine_graph(engine):
+    """A presentation as its vertex count and its edges as index pairs in
+    graphs_on's order."""
+    n = len(engine.labels)
+    return n, [(a, b) for a, b in combinations(range(n), 2) if b in engine.neighbours[a]]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_word_differential_random_words_are_the_stdlib_draws(monkeypatch, seed):
+    # the random phase draws from getrandbits itself; its words must be the
+    # ones rng.randint, rng.random and rng.randrange give, in their order
+    from commagraph.groups import _RaagEngine
+
+    real = _RaagEngine.is_identity
+    asked = []
+
+    def recording(self, enc):
+        asked.append((_engine_graph(self), tuple(enc)))
+        return real(self, enc)
+
+    monkeypatch.setattr(_RaagEngine, "is_identity", recording)
+    report = verify.run_suite("word-differential", seed=seed, max_vertices=0, max_len=0)
+    # the exhaustive phase, one empty word, asks is_identity nothing
+    assert report.passed and report.cases_checked == 1 + 10000
+
+    rng = random.Random(seed)
+    expected = []
+    for _ in range(10000):
+        n = rng.randint(1, verify._RANDOM_MAX_VERTICES)
+        pairs = list(combinations(range(n), 2))
+        bits = sum([1 << k for k in range(len(pairs)) if rng.random() < 0.5])
+        length = rng.randint(0, verify._RANDOM_MAX_LEN)
+        codes = tuple([rng.randrange(2 * n) for _ in range(length)])
+        expected.append(((n, [p for k, p in enumerate(pairs) if bits >> k & 1]), codes))
+    assert asked == expected
+
+
+@pytest.mark.parametrize(
+    "edges, dropped",
+    [
+        # b.-a.a.-b: its prefix b.-a.a ends in letter 0, so the prefix odometer
+        # has just wrapped from b.a.-b
+        ([], (2, 1, 0, 3)),
+        # -b.b on the last graph, under the last prefix of length 2
+        ([(0, 1)], (3, 2)),
+    ],
+)
+def test_word_differential_walks_every_word_once_in_product_order(monkeypatch, edges, dropped):
+    from commagraph.groups import _RaagEngine
+
+    max_vertices, max_len = 2, 4
+    real = _RaagEngine.oracle_identity_words
+
+    def dropping(self, max_len):
+        words = real(self, max_len)
+        if _engine_graph(self) == (2, edges):
+            words[len(dropped)].remove(dropped)
+        return words
+
+    monkeypatch.setattr(_RaagEngine, "oracle_identity_words", dropping)
+    report = verify.run_suite("word-differential", max_vertices=max_vertices, max_len=max_len, random_words=0)
+    assert not report.passed
+
+    # the words of the graphs before this one, of this graph's shorter
+    # lengths, and of its length before the dropped word, then the word
+    graphs = list(verify.graphs_up_to(max_vertices))
+    at = next(i for i, g in enumerate(graphs) if _engine_graph(Raag(g).engine) == (2, edges))
+    before = sum((2 * len(g.vertices)) ** length for g in graphs[:at] for length in range(max_len + 1))
+    before += sum(4 ** length for length in range(len(dropped)))
+    rank = sum(c * 4 ** (len(dropped) - 1 - i) for i, c in enumerate(dropped))
+    assert report.cases_checked == before + rank + 1
+    ce = report.counterexample
+    tokens = ["a", "-a", "b", "-b"]
+    assert ce == {
+        "presentation": {"vertices": ["a", "b"], "edges": [["a", "b"]] if edges else []},
+        "word": [tokens[c] for c in dropped],
+        "fast": True,
+        "oracle": False,
+    }
+    monkeypatch.undo()
+    assert _replayed_verdict(ce) == ce["fast"] != ce["oracle"]
+
+
+def test_word_differential_noncommuting_mutation_is_caught(monkeypatch):
+    # the Tits oracle reads noncommuting, not letter_adjacent, so a corrupted
+    # entry of that derived form alone must be caught.  A code removed from
+    # one list is no fault: the two reflections still do not commute, and in
+    # every graph on 1..3 vertices no such removal changes a verdict up to
+    # length 6.  A code added to one list, a reflection that moves the entry
+    # of one it commutes with, is a fault.
+    from commagraph.groups import _RaagEngine
+
+    real = _RaagEngine.__init__
+
+    def corrupted(self, graph):
+        real(self, graph)
+        codes = range(2 * len(self.labels))
+        for s, row in enumerate(self.noncommuting):
+            commuting = [t for t in codes if t != s and t not in row]
+            if commuting:
+                row.append(commuting[0])
+                break
+
+    monkeypatch.setattr(_RaagEngine, "__init__", corrupted)
+    report = verify.run_suite("word-differential", max_vertices=0, max_len=0)
+    assert not report.passed
+    ce = report.counterexample
+    monkeypatch.undo()
+    assert _replayed_verdict(ce) == ce["fast"] != ce["oracle"]
 
 
 def test_reports_are_deterministic():
