@@ -11,7 +11,9 @@ import argparse
 import json
 import re
 import sys
+from itertools import groupby, islice
 from json.encoder import encode_basestring_ascii as _quote
+from operator import itemgetter
 from pathlib import Path
 
 from . import verify
@@ -119,18 +121,32 @@ def _cmd_commutation_graph(args) -> int:
 def _hom_text(head: str, keys, labels, homs: list[tuple[int, ...]]):
     """A homs result in pieces: head, the _layout of the other fields, then
     "homs" as _layout lays out a list of dicts, each tuple read as the dict
-    from keys to the labels at its indices.  A %-template made once from
-    the quoted keys takes each tuple's quoted labels: no dict per hom."""
+    from keys to the labels at its indices.  The tuples come in
+    lexicographic order, so those that share all but their last index form
+    a run.  A %-template made once from the quoted keys, the last one as
+    literal text, takes a run's shared labels once; each row of the run
+    adds the last field's text, made once per label.  One piece per run,
+    split every 1,000 rows: no dict per hom, and no string of the whole
+    output."""
     yield head[:-2] + ',\n  "homs": '  # head ends "\n}"
     if not homs:
         yield "[]\n}\n"
         return
-    fields = ",\n      ".join(_quote(k).replace("%", "%%") + ": %s" for k in keys)
-    template = ",\n    {\n      " + fields + "\n    }" if keys else ",\n    {}"
+    if not keys:  # the empty domain's one hom
+        yield "[\n    {}\n  ]\n}\n"
+        return
+    *lead, last = [_quote(k).replace("%", "%%") for k in keys]
+    template = "\n    {\n      " + "".join(k + ": %s,\n      " for k in lead) + last + ": "
     quoted = [_quote(x) for x in labels]
-    rows = (template % tuple([quoted[i] for i in t]) for t in homs)
-    yield "[" + next(rows)[1:]  # each row leads with its comma, the first with the bracket
-    yield from rows
+    tails = [q + "\n    }" for q in quoted]
+    before = "["  # before the first row; a comma before every other
+    for shared, run in groupby(homs, itemgetter(slice(-1))):
+        prefix = template % tuple([quoted[i] for i in shared])
+        rows = map(tails.__getitem__, map(itemgetter(-1), run))
+        joiner = "," + prefix
+        while piece := joiner.join(islice(rows, 1000)):
+            yield before + prefix + piece
+            before = ","
     yield "\n  ]\n}\n"
 
 

@@ -130,19 +130,27 @@ def _hom_images(g: Graph, closed: Sequence[Sequence[int]]) -> list[tuple[int, ..
     them.  A whole level is held, so a domain whose middle level is pruned
     hard peaks at that level.  A parent has at most len(closed) children,
     so only a level that might pass HOM_CAP is counted, and one that would
-    raises HomCapExceeded before it is built.
+    raises HomCapExceeded before it is built.  A run of free vertices, each
+    with no earlier neighbour, multiplies the level by len(closed) per
+    vertex, so its first level past HOM_CAP is refused at the run's start,
+    before any of its levels is built.
     """
     closed_sets = [set(c) for c in closed]
     everything = range(len(closed))
+    earliers = [sorted(i for i in adj if i < j) for j, adj in enumerate(g.neighbours)]
     level: list[tuple[int, ...]] = [()]
-    for j, adj in enumerate(g.neighbours):
-        earlier = sorted(i for i in adj if i < j)
+    for j, earlier in enumerate(earliers):
         size = len(level) * len(closed)
         if size > HOM_CAP and earlier:
             first, *rest = earlier
             size = sum(
                 len(closed_sets[t[first]].intersection(*[closed_sets[t[u]] for u in rest])) for t in level
             )
+        elif not earlier and (j == 0 or earliers[j - 1]):
+            k = j + 1  # the run of free vertices from j grows unpruned
+            while size <= HOM_CAP and k < len(earliers) and not earliers[k]:
+                size *= len(closed)
+                k += 1
         if size > HOM_CAP:
             raise HomCapExceeded(f"the hom search would hold {size} partial homs, over the cap of {HOM_CAP}")
         if not earlier:

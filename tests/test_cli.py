@@ -6,13 +6,14 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from itertools import product
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from commagraph.cli import _layout, main
+from commagraph.cli import _hom_text, _layout, main
 from commagraph.comma import comma_object_from_json, comma_object_to_json
 from commagraph.graphs import enumerate_graph_homs, graph_from_json, graph_to_json
 from commagraph.groups import Raag, enumerate_homs_raag_to_finite, group_from_json, group_to_json, raag_reduce
@@ -379,7 +380,8 @@ S4 = {"type": "perm", "degree": 4, "generators": [[2, 1, 3, 4], [2, 3, 4, 1]]}
 @pytest.mark.parametrize("dom, target, refused", [
     (_edgeless(8, "v"), _edgeless(12, "w"), 12**6),  # 12^8 homs in all
     (_edgeless(6, "v"), S4, 24**5),  # 24^6 homs in all
-], ids=["edgeless 8 -> edgeless 12", "edgeless 6 -> S4"])
+    (_edgeless(20, "v"), _edgeless(2, "w"), 2**20),  # refused before the 2^19 level is built
+], ids=["edgeless 8 -> edgeless 12", "edgeless 6 -> S4", "edgeless 20 -> 2 points"])
 def test_homs_past_the_cap_exit_2_before_building_the_level(write, capsys, dom, target, refused):
     from commagraph.graphs import HOM_CAP
 
@@ -401,14 +403,15 @@ def test_homs_past_the_cap_exit_2_before_building_the_level(write, capsys, dom, 
     assert peak < 48 * 2**20
 
 
-@pytest.mark.parametrize("seed", [0, 3])
-def test_the_benchmark_group_facts_hold(monkeypatch, capsys, tmp_path, seed):
+@pytest.mark.parametrize("seed, tiny", [(0, True), (3, True), (0, False)], ids=["0", "3", "0 benchmark size"])
+def test_the_benchmark_group_facts_hold(monkeypatch, capsys, tmp_path, seed, tiny):
     # the benchmark checks each group-scale op against facts it derives
     # without the library (class numbers, centralizer orders, its own
     # permutation arithmetic), so Tier-1 runs them too, at the small size
+    # and once at the size the benchmark times (19,320 homs into S5)
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     workloads = importlib.import_module("workloads")
-    ops = workloads.build("group-scale", seed, tmp_path, tiny=True, corrupt=False)
+    ops = workloads.build("group-scale", seed, tmp_path, tiny=tiny, corrupt=False)
     assert len(ops) == 9
     for op in ops:
         assert main(op.argv) == 0, op.label
@@ -519,10 +522,17 @@ def _cyclic(labels: list[str]) -> dict:
     (EMPTY, _cyclic(["%"])),
     (_path(ODD_LABELS), EMPTY),
     (EMPTY, EMPTY),
-], ids=["graph", "group", "group labels", "empty dom", "empty dom group", "into empty", "empty into empty"])
+    ({"vertices": ["%s"], "edges": []}, _cyclic(ODD_LABELS)),  # one run of 9
+    (_path(["a", "%"]), {"vertices": ODD_LABELS, "edges": [["%s", "{0}"]]}),  # 11 homs in 9 runs
+    ({"vertices": ["%", "{0}", "%s"], "edges": [["%", "{0}"]]}, _cyclic(ODD_LABELS)),  # 81 runs of 9
+], ids=[
+    "graph", "group", "group labels", "empty dom", "empty dom group", "into empty", "empty into empty",
+    "one vertex", "last key %", "last vertex isolated",
+])
 def test_homs_prints_the_public_enumerators_byte_for_byte(write, capsys, tmp_path, dom, target):
     # the payload comes from hom objects, laid out by the stdlib encoder;
-    # keys holding "%" catch a row template that does not escape them
+    # keys holding "%" catch a row template that does not escape them,
+    # the last key included, which the template holds as literal text
     g = graph_from_json(dom)
     if "vertices" in target:
         h = graph_from_json(target)
@@ -553,6 +563,22 @@ def test_homs_holds_no_object_per_hom(write, capsys):
     out = capsys.readouterr().out
     assert code == 0 and json.loads(out)["count"] == 90_000
     assert peak < 32 * 2**20
+
+
+@pytest.mark.parametrize("points, dom, pieces", [(2500, 1, 3), (300, 2, 300)])
+def test_homs_are_written_a_run_at_a_time(points, dom, pieces):
+    # a piece holds rows of one run (homs that differ only at the last
+    # vertex) and at most 1,000 of them, so no string holds the output
+    keys, labels = [f"v{i}" for i in range(dom)], [f"w{i}" for i in range(points)]
+    homs = list(product(range(points), repeat=dom))
+    head, *body, tail = _hom_text(_layout({"count": len(homs)}), keys, labels, homs)
+    assert len(body) == pieces
+    for piece in body:
+        run = json.loads("[" + piece[1:] + "]")  # each piece leads with "[" or ","
+        assert 1 <= len(run) <= 1000
+        assert len({tuple(row.values())[:-1] for row in run}) == 1
+    homs_json = [{k: labels[i] for k, i in zip(keys, t)} for t in homs]
+    assert json.loads(head + "".join(body) + tail) == {"count": len(homs), "homs": homs_json}
 
 
 TOKENLESS = {"vertices": ["a", "-a"], "edges": [["a", "-a"]]}  # "-a" would read back as a^-1
