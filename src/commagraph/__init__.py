@@ -12,10 +12,8 @@ from .sets import FiniteSet, SetMap, compose_maps, identity_map, make_map, make_
 from .graphs import (
     Graph,
     GraphHom,
-    compose_homs,
     discrete,
     enumerate_graph_homs,
-    identity_hom,
     indiscrete,
     is_graph_hom,
     make_graph,
@@ -26,7 +24,6 @@ from .groups import (
     GroupHom,
     Raag,
     Word,
-    commutation_counit,
     commutation_graph,
     cyclic_group,
     enumerate_homs_finite_to_finite,
@@ -51,7 +48,6 @@ from .comma import (
     embed_group,
     enumerate_morphisms_from_embedded_graph,
     factor_through_coreflection,
-    identity_comma,
     is_comma_morphism,
     make_comma_object,
     reflect_to_group,

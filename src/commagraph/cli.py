@@ -129,11 +129,8 @@ def _hom_text(head: str, keys, labels, homs: list[tuple[int, ...]]):
     split every 1,000 rows: no dict per hom, and no string of the whole
     output."""
     yield head[:-2] + ',\n  "homs": '  # head ends "\n}"
-    if not homs:
-        yield "[]\n}\n"
-        return
-    if not keys:  # the empty domain's one hom
-        yield "[\n    {}\n  ]\n}\n"
+    if not homs or not keys:  # no hom, or the empty domain's one hom
+        yield _layout([{}] * len(homs), "\n  ") + "\n}\n"
         return
     *lead, last = [_quote(k).replace("%", "%%") for k in keys]
     template = "\n    {\n      " + "".join(k + ": %s,\n      " for k in lead) + last + ": "

@@ -107,10 +107,6 @@ def is_comma_morphism(m: CommaMorphism) -> bool:
     )
 
 
-def identity_comma(w: CommaObject) -> CommaMorphism:
-    return CommaMorphism(w, w, identity_map(w.gens), identity_group_hom(w.target))
-
-
 def compose_comma(m1: CommaMorphism, m2: CommaMorphism) -> CommaMorphism:
     if m1.dst != m2.src:
         raise ObjectMismatch("middle objects of the composite do not agree")

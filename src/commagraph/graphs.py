@@ -19,15 +19,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import DomainMismatch, HomCapExceeded, InvalidHom, LoopEdge, MalformedInput, UnknownVertex
-from .sets import (
-    FiniteSet,
-    SetMap,
-    compose_maps,
-    finite_set_from_json,
-    finite_set_to_json,
-    identity_map,
-    make_map,
-)
+from .sets import FiniteSet, SetMap, finite_set_from_json, finite_set_to_json, make_map
 
 HOM_CAP = 1_000_000  # partial homs one level of the hom search may hold
 
@@ -107,16 +99,6 @@ def make_graph_hom(dom: Graph, cod: Graph, assignment) -> GraphHom:
     if not is_graph_hom(dom, cod, vmap):
         raise InvalidHom("vertex map does not preserve adjacency")
     return GraphHom(dom, cod, vmap)
-
-
-def identity_hom(g: Graph) -> GraphHom:
-    return GraphHom(g, g, identity_map(g.vertices))
-
-
-def compose_homs(f: GraphHom, g: GraphHom) -> GraphHom:
-    if f.cod != g.dom:
-        raise DomainMismatch("codomain of the first hom differs from domain of the second")
-    return GraphHom(f.dom, g.cod, compose_maps(f.vmap, g.vmap))
 
 
 def _hom_images(g: Graph, closed: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:

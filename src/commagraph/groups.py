@@ -791,8 +791,11 @@ def evaluate_word(images: Mapping[str, object], w: Iterable, h: GroupHandle):
             enc.extend(codes if sign > 0 else _inverse_codes(codes))
         return engine.decode(engine.reduce(enc))
     acc = h.identity
-    for x, sign in letters:
-        acc = h.multiply(acc, x if sign > 0 else h.invert(x))
+    try:
+        for x, sign in letters:
+            acc = h.multiply(acc, x if sign > 0 else h.invert(x))
+    except KeyError as missing:  # acc is an element, so the missing key is an image
+        raise UnknownElement(f"{missing.args[0]!r} is not an element of this group") from None
     return acc
 
 
@@ -803,12 +806,15 @@ def hom_check(f: GroupHom) -> bool:
     edgeless presentation imposes nothing).  Finite domain: f(xg) = f(x)f(g)
     for every x and each g of a greedy generating set S, never empty, in
     n * |S| checks; induction on y as a product of S gives f(xy) = f(x)f(y).
+    An image that is absent raises MissingImage, and one that is no element
+    of the codomain raises what the codomain's validate_element raises.
     """
-    dom, images = f.dom, f.images
+    dom, images, validate = f.dom, f.images, f.cod.validate_element
     presented = isinstance(dom, Raag)
     for x in dom.generators if presented else dom.elements:
         if x not in images:
             raise MissingImage(f"no image given for generator {x!r}")
+        validate(images[x])
     if presented:
         return all(f.cod.commutes(images[u], images[v]) for u, v in dom.presentation.edges)
     labels = dom.elements.labels
@@ -884,13 +890,6 @@ def enumerate_homs_finite_to_finite(dom: FiniteGroup, cod: FiniteGroup) -> list[
         else:
             out.append(GroupHom(dom, cod, {a: cod_labels[c] for a, c in zip(labels, image)}))
     return out
-
-
-def commutation_counit(h: FiniteGroup) -> GroupHom:
-    """The evaluation hom from the group presented by h's commutation graph
-    onto h: the generator named by an element goes to that element."""
-    raag = Raag(commutation_graph(h))
-    return GroupHom(raag, h, {x: x for x in h.elements})
 
 
 # ---------------------------------------------------------------------------

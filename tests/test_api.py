@@ -1,24 +1,19 @@
 """No public function of the package has its own test as its only caller,
-no suite bound or CLI option is set only by tests, and every name the
-benchmark's tracer wraps still exists."""
+no suite bound or CLI option is set only by tests, every name the
+benchmark's tracer wraps still exists, and every file parses as the oldest
+Python the package supports."""
 
 import argparse
 import ast
 import importlib
 from pathlib import Path
 
+import pytest
+
 from commagraph import cli, verify
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "commagraph"
-
-# Public functions that nothing in src/ or scripts/ calls, each with why.
-WITHOUT_CALLER = {
-    "identity_hom": "graph functor law; waits for the functor suite (ROADMAP item 5)",
-    "compose_homs": "graph functor law; waits for the functor suite (ROADMAP item 5)",
-    "identity_comma": "comma functor law; waits for the functor suite (ROADMAP item 5)",
-    "commutation_counit": "group-side counit; waits for the functor suite (ROADMAP item 5)",
-}
 
 
 def _public_functions() -> set[str]:
@@ -48,13 +43,7 @@ def _referenced_names() -> set[str]:
 
 
 def test_every_exported_function_has_a_caller():
-    public = _public_functions()
-    assert set(WITHOUT_CALLER) <= public, "an allow-listed name is no longer a public function"
-    uncalled = public - _referenced_names()
-    assert uncalled == set(WITHOUT_CALLER), (
-        f"public without a caller: {sorted(uncalled - set(WITHOUT_CALLER))}; "
-        f"allow-listed but now called: {sorted(set(WITHOUT_CALLER) - uncalled)}"
-    )
+    assert sorted(_public_functions() - _referenced_names()) == []
 
 
 def _names_callers_pass() -> set[str]:
@@ -114,3 +103,16 @@ def test_every_traced_name_resolves(monkeypatch):
         if getattr(owner, name, None) is None:
             missing.append(f"{module_name}.{attribute}")
     assert missing == []
+
+
+def test_every_file_parses_as_python_3_10():
+    """pyproject.toml promises requires-python >= 3.10, so no file may use
+    later syntax, such as except* (3.11) or a type statement (3.12)."""
+    with pytest.raises(SyntaxError):
+        ast.parse("try:\n    pass\nexcept* ValueError:\n    pass\n", feature_version=(3, 10))
+    files = [
+        path for folder in ("src", "scripts", "perfbench", "tests") for path in sorted((ROOT / folder).rglob("*.py"))
+    ]
+    assert len(files) > 20
+    for path in files:
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))

@@ -18,7 +18,6 @@ from commagraph import (
     enumerate_graph_homs,
     enumerate_morphisms_from_embedded_graph,
     factor_through_coreflection,
-    identity_comma,
     indiscrete,
     is_comma_morphism,
     klein_four_group,
@@ -33,6 +32,7 @@ from commagraph.comma import comma_morphism_to_json, comma_object_from_json, com
 from commagraph.errors import (
     MalformedInput,
     MissingImage,
+    NotFactorable,
     NotFiniteTarget,
     NotInCodomain,
     NotTotal,
@@ -41,7 +41,8 @@ from commagraph.errors import (
     UnknownGenerator,
 )
 from commagraph.groups import GroupHom, identity_group_hom
-from commagraph.sets import SetMap, identity_map
+from commagraph.graphs import GraphHom
+from commagraph.sets import SetMap, compose_maps, identity_map
 from commagraph.verify import default_pool, graphs_up_to
 
 from .strategies import graphs
@@ -59,6 +60,16 @@ def s3_witness():
 
 def abelian_witness():
     return make_comma_object(make_set(["x", "y"]), cyclic_group(4), {"x": "g", "y": "g2"})
+
+
+def identity_morphism(w):
+    """w's identity: the identity set map with the identity group hom."""
+    return CommaMorphism(w, w, identity_map(w.gens), identity_group_hom(w.target))
+
+
+def composite_hom(f, h):
+    """The graph hom h after f: the composite of their vertex maps."""
+    return GraphHom(f.dom, h.cod, compose_maps(f.vmap, h.vmap))
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +110,7 @@ def test_make_comma_object_raag_target_checks_letters():
 
 def test_identity_is_comma_morphism():
     for w in (abelian_witness(), s3_witness(), embed_graph(edge_graph())):
-        assert is_comma_morphism(identity_comma(w))
+        assert is_comma_morphism(identity_morphism(w))
 
 
 def test_squaring_square_commutes():
@@ -181,14 +192,26 @@ def test_morphisms_with_equal_set_maps_can_differ():
 
 def test_compose_with_identity():
     w = s3_witness()
-    m = identity_comma(w)
-    assert compose_comma(identity_comma(w), m) == m
-    assert compose_comma(m, identity_comma(w)) == m
+    m = identity_morphism(w)
+    assert compose_comma(identity_morphism(w), m) == m
+    assert compose_comma(m, identity_morphism(w)) == m
+    counit = coreflect(w).counit
+    assert compose_comma(identity_morphism(counit.src), counit) == counit
+    assert compose_comma(counit, identity_morphism(w)) == counit
+
+
+def test_equality_with_another_type_is_not_implemented():
+    w = s3_witness()
+    m = identity_morphism(w)
+    for value in (w, m, m.f_grp):
+        assert type(value).__eq__(value, "x") is NotImplemented
+        assert value != "x"
+    assert w != m and m != m.f_grp
 
 
 def test_compose_mismatch():
     with pytest.raises(ObjectMismatch):
-        compose_comma(identity_comma(s3_witness()), identity_comma(abelian_witness()))
+        compose_comma(identity_morphism(s3_witness()), identity_morphism(abelian_witness()))
 
 
 def test_compose_associative_on_counits():
@@ -198,8 +221,8 @@ def test_compose_associative_on_counits():
     f = make_graph_hom(discrete(make_set(["v"])), g, {"v": "x"})
     m1 = embed_graph_hom(f)
     m2 = core.counit
-    left = compose_comma(compose_comma(m1, identity_comma(m1.dst)), m2)
-    right = compose_comma(m1, compose_comma(identity_comma(m1.dst), m2))
+    left = compose_comma(compose_comma(m1, identity_morphism(m1.dst)), m2)
+    right = compose_comma(m1, compose_comma(identity_morphism(m1.dst), m2))
     assert left == right
 
 
@@ -247,7 +270,7 @@ def test_embedding_round_trips_through_json_or_is_refused(g):
 
 def test_embed_graph_hom_identity():
     g = edge_graph()
-    assert embed_graph_hom(make_graph_hom(g, g, {"a": "a", "b": "b"})) == identity_comma(embed_graph(g))
+    assert embed_graph_hom(make_graph_hom(g, g, {"a": "a", "b": "b"})) == identity_morphism(embed_graph(g))
 
 
 def test_forced_group_parts_run_between_the_objects_own_groups():
@@ -273,9 +296,7 @@ def test_embedding_preserves_composition_exhaustively():
             for f in enumerate_graph_homs(g1, g2):
                 for g3 in pool:
                     for h in enumerate_graph_homs(g2, g3):
-                        from commagraph.graphs import compose_homs
-
-                        lhs = embed_graph_hom(compose_homs(f, h))
+                        lhs = embed_graph_hom(composite_hom(f, h))
                         rhs = compose_comma(embed_graph_hom(f), embed_graph_hom(h))
                         assert lhs == rhs
 
@@ -283,8 +304,6 @@ def test_embedding_preserves_composition_exhaustively():
 @given(st.data())
 def test_embedding_preserves_composition_sampled(data):
     from hypothesis import assume
-
-    from commagraph.graphs import compose_homs
 
     g1 = data.draw(graphs(max_vertices=3))
     g2 = data.draw(graphs(max_vertices=3))
@@ -294,7 +313,7 @@ def test_embedding_preserves_composition_sampled(data):
     assume(homs12 and homs23)
     f = data.draw(st.sampled_from(homs12))
     h = data.draw(st.sampled_from(homs23))
-    assert embed_graph_hom(compose_homs(f, h)) == compose_comma(
+    assert embed_graph_hom(composite_hom(f, h)) == compose_comma(
         embed_graph_hom(f), embed_graph_hom(h)
     )
 
@@ -302,7 +321,7 @@ def test_embedding_preserves_composition_sampled(data):
 def test_embedding_preserves_identities_exhaustively():
     for g in graphs_up_to(3):
         ident = make_graph_hom(g, g, {v: v for v in g.vertices})
-        assert embed_graph_hom(ident) == identity_comma(embed_graph(g))
+        assert embed_graph_hom(ident) == identity_morphism(embed_graph(g))
 
 
 def test_embedding_is_faithful():
@@ -332,7 +351,7 @@ def test_coreflect_recovers_embedded_graphs():
     for g in graphs_up_to(4):
         core = coreflect(embed_graph(g))
         assert core.graph == g
-        assert core.counit == identity_comma(embed_graph(g))
+        assert core.counit == identity_morphism(embed_graph(g))
 
 
 def test_coreflect_abelian_target_is_complete():
@@ -398,7 +417,7 @@ def test_factor_exists_for_abelian_targets():
 def test_factor_rejects_wrong_source():
     # the source's target is finite, so it embeds no graph
     w = s3_witness()
-    m = identity_comma(w)
+    m = identity_morphism(w)
     with pytest.raises(ObjectMismatch):
         factor_through_coreflection(coreflect(w), m)
 
@@ -424,6 +443,19 @@ def test_factor_rejects_a_partial_vertex_map():
     w = s3_witness()
     with pytest.raises(NotTotal):
         factor_through_coreflection(coreflect(w), _from_edgeless_pair(w, {"a": "x"}))
+
+
+def test_factor_rejects_an_edge_onto_noncommuting_images():
+    # a hand-built morphism out of the embedded edge a - b, sending a and b
+    # to x and y, whose images do not commute: its set map is no graph hom
+    # into the coreflection, which has no edge x - y
+    w = s3_witness()
+    src = embed_graph(edge_graph())
+    f_grp = GroupHom(src.target, w.target, {"a": w.images["x"], "b": w.images["y"]})
+    m = CommaMorphism(src, w, SetMap(src.gens, w.gens, {"a": "x", "b": "y"}), f_grp)
+    assert not is_comma_morphism(m)
+    with pytest.raises(NotFactorable):
+        factor_through_coreflection(coreflect(w), m)
 
 
 def test_factor_rejects_a_vertex_image_outside_the_coreflection():

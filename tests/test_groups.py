@@ -10,10 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from commagraph import (
-    commutation_counit,
     commutation_graph,
+    coreflect,
     cyclic_group,
     discrete,
+    embed_group,
     embed_graph_hom,
     enumerate_homs_finite_to_finite,
     enumerate_homs_raag_to_finite,
@@ -55,7 +56,7 @@ from commagraph.groups import (
     group_to_json,
     identity_group_hom,
 )
-from commagraph.verify import graphs_up_to
+from commagraph.verify import default_ac_groups, graphs_up_to
 
 from .strategies import graph_with_word, graph_with_words, graphs
 
@@ -1225,6 +1226,12 @@ def test_evaluate_word_unknown_generator():
         evaluate_word({}, (A,), cyclic_group(2))
 
 
+@pytest.mark.parametrize("word", [(A,), (iA,), (A, A)], ids=["a", "-a", "a a"])
+def test_evaluate_word_image_outside_a_finite_group(word):
+    with pytest.raises(UnknownElement, match="'zz' is not an element"):
+        evaluate_word({"a": "zz"}, word, cyclic_group(2))
+
+
 def _reference_evaluate(images, w, raag):
     """evaluate_word by reducing the accumulator after every letter."""
     acc = ()
@@ -1309,6 +1316,16 @@ def test_compose_group_homs_rejects_a_mismatched_middle():
 def test_hom_check_finite_domain_missing_image():
     with pytest.raises(MissingImage):
         hom_check(GroupHom(cyclic_group(2), cyclic_group(4), {"e": "e"}))
+
+
+def test_hom_check_image_outside_the_codomain():
+    c2 = cyclic_group(2)
+    with pytest.raises(UnknownElement):
+        hom_check(GroupHom(c2, c2, {"e": "e", "g": "zz"}))
+    with pytest.raises(UnknownElement):
+        hom_check(GroupHom(edge_raag(), c2, {"a": "zz", "b": "g"}))
+    with pytest.raises(UnknownGenerator):
+        hom_check(GroupHom(c2, edge_raag(), {"e": (), "g": (("zz", 1),)}))
 
 
 def test_apply_hom_finite_domain_missing_image():
@@ -1569,14 +1586,21 @@ def test_hom_cap_admits_path3_into_s6():
 
 
 def test_commutation_counit_is_a_hom():
-    for h in (cyclic_group(2), symmetric_group_3()):
-        counit = commutation_counit(h)
+    # an embedded group coreflects to its commutation graph, and the
+    # counit's group part evaluates the group that graph presents: each
+    # element-named generator goes to its element
+    s4 = finite_group_from_permutations(4, [(2, 1, 3, 4), (2, 3, 4, 1)])
+    for h in (cyclic_group(1), *default_ac_groups(), s4):
+        core = coreflect(embed_group(h))
+        assert core.graph == commutation_graph(h)
+        counit = core.counit.f_grp
+        assert counit.dom == Raag(commutation_graph(h)) and counit.cod == h
+        assert counit.images == {x: x for x in h.elements}
         assert hom_check(counit)
-        assert counit.dom.generators == h.elements
 
 
 def test_commutation_counit_evaluates():
-    counit = commutation_counit(cyclic_group(2))
+    counit = coreflect(embed_group(cyclic_group(2))).counit.f_grp
     assert apply_hom(counit, (("g", 1), ("g", 1))) == "e"
 
 

@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -63,3 +65,24 @@ def test_run_checks_refuses_a_bad_bound_before_running(flag, value):
     assert result.returncode == 3 and result.stdout == ""
     assert result.stderr.startswith("usage error: ") and result.stderr.count("\n") == 1
     assert "Traceback" not in result.stderr
+
+
+def test_compare_trees_finds_no_difference_from_its_own_checkout():
+    result = run_script("compare_trees.py", str(ROOT), "--tiny", "--seeds", "0")
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert result.stdout == ""
+    assert re.fullmatch(r"0 of [1-9]\d* ops differ between .*\n", result.stderr)
+
+
+def test_compare_trees_lists_each_op_that_differs(tmp_path):
+    # a copy whose commutation-graph note reads otherwise: those ops, and
+    # only those, differ, and only on stderr
+    shutil.copytree(ROOT / "src", tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    cli = tmp_path / "src" / "commagraph" / "cli.py"
+    cli.write_text(cli.read_text().replace('_note(f"group of order', '_note(f"a group of order'))
+    result = run_script("compare_trees.py", str(tmp_path), "--tiny", "--seeds", "0", "--workloads", "group-scale")
+    assert result.returncode == 1, result.stderr
+    listed = result.stdout.splitlines()
+    assert len(listed) == 5  # S4 as permutations and as a table, and three dihedral groups
+    assert all(" commutation-graph " in line and line.endswith(": stderr differ") for line in listed)
+    assert result.stderr.startswith(f"{len(listed)} of 9 ops differ")

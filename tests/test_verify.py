@@ -7,9 +7,9 @@ import pytest
 from commagraph import cli, comma, verify
 from commagraph.graphs import Graph, enumerate_graph_homs, graph_from_json, make_graph
 from commagraph.groups import (
-    FiniteGroup, GroupHom, Raag, commutation_graph, enumerate_homs_raag_to_finite,
+    FiniteGroup, GroupHom, Raag, commutation_graph, enumerate_homs_raag_to_finite, identity_group_hom,
 )
-from commagraph.sets import SetMap, make_set
+from commagraph.sets import SetMap, identity_map, make_set
 
 
 def test_graphs_on_counts():
@@ -55,7 +55,9 @@ def test_failed_report_carries_counterexample_json(monkeypatch):
     monkeypatch.setattr(
         comma,
         "coreflect",
-        lambda w: comma.Coreflection(Graph(w.gens, ()), comma.identity_comma(w)),
+        lambda w: comma.Coreflection(
+            Graph(w.gens, ()), comma.CommaMorphism(w, w, identity_map(w.gens), identity_group_hom(w.target))
+        ),
     )
     report = verify.run_suite("unit-iso", max_vertices=2)
     assert not report.passed
@@ -789,6 +791,25 @@ def test_couniversal_mutation_is_caught(monkeypatch):
     assert report.cases_checked == 5
     assert sorted(report.counterexample) == ["factorizations", "graph", "morphism_f_set", "object"]
     assert report.counterexample["factorizations"] == "factor_through_coreflection failed"
+
+
+def test_couniversal_catches_a_factor_that_is_another_hom(monkeypatch):
+    # the mutant returns a valid hom into the coreflection, but not the one
+    # the morphism factors through, wherever there is another
+    real = comma.factor_through_coreflection
+
+    def another_hom(core, m):
+        right = real(core, m)
+        homs = enumerate_graph_homs(right.dom, core.graph)
+        return next((h for h in homs if h.vmap != right.vmap), right)
+
+    monkeypatch.setattr(comma, "factor_through_coreflection", another_hom)
+    report = verify.run_suite("couniversal", max_vertices=3)
+    assert not report.passed
+    assert report.cases_checked == 15  # the first graph with two homs into a coreflection: a point into x, y
+    assert report.counterexample["graph"] == {"vertices": ["a"], "edges": []}
+    assert report.counterexample["morphism_f_set"] == {"a": "x"}
+    assert report.counterexample["factorizations"] == "disagrees with the direct factor"
 
 
 def test_group_reflection_unit_mutation_is_caught(monkeypatch):
