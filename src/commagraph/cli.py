@@ -198,8 +198,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("graph", help="presentation graph JSON file")
     # main hands argparse only the arguments up to the graph (_split_word) and
-    # sets the word itself; the positional stays for -h and the usage line.
-    p.add_argument("word", nargs=argparse.REMAINDER, help='word tokens, "-" prefix for inverses')
+    # sets the word itself; the positional stays for -h and the usage line,
+    # required as 3.11 makes it, so a missing graph names it on later releases too.
+    p.add_argument("word", nargs=argparse.REMAINDER, help='word tokens, "-" prefix for inverses').required = True
     p.set_defaults(func=_cmd_raag_reduce)
 
     p = sub.add_parser("commutation-graph", help="commutation graph of a finite group")
@@ -283,10 +284,22 @@ def _split_word(argv: list[str]) -> tuple[list[str], list[str]]:
     return argv, []
 
 
+def _unglue_help(argv: list[str]) -> list[str]:
+    """argv with each -h that has text glued on, up to a bare --, written as
+    Python 3.11's argparse reads it: -h=TEXT, which every version refuses
+    alike where it reads it, or -h if TEXT is only h's.  From 3.13 argparse
+    reads -hx as -h -x and prints help."""
+    for i, token in enumerate(argv[:argv.index("--")] if "--" in argv else argv):
+        if token.startswith("-h") and token != "-h":
+            text = token[3:] if token.startswith("-h=") else token[2:]
+            argv[i] = "-h" if text and not text.lstrip("h") else "-h=" + text.lstrip("h")
+    return argv
+
+
 def main(argv=None) -> int:
     try:
         argv, word = _split_word(sys.argv[1:] if argv is None else list(argv))
-        args = _PARSER.parse_args(argv)
+        args = _PARSER.parse_args(_unglue_help(argv))
         if word:
             args.word = word
         return args.func(args)

@@ -110,31 +110,19 @@ def _hom_images(g: Graph, closed: Sequence[Sequence[int]]) -> list[tuple[int, ..
     of its first earlier neighbour's image (every index if it has none),
     kept if the closed sets of its other earlier neighbours' images hold
     them.  A whole level is held, so a domain whose middle level is pruned
-    hard peaks at that level.  A parent has at most len(closed) children,
-    so only a level that might pass HOM_CAP is counted, and one that would
-    raises HomCapExceeded before it is built.  A run of free vertices, each
-    with no earlier neighbour, multiplies the level by len(closed) per
-    vertex, so its first level past HOM_CAP is refused at the run's start,
-    before any of its levels is built.
+    hard peaks at that level.  While a level times len(closed) per vertex
+    left passes HOM_CAP, _level_sizes counts the next one before any level
+    is built, and HomCapExceeded names the first past HOM_CAP.
     """
-    closed_sets = [set(c) for c in closed]
-    everything = range(len(closed))
-    earliers = [sorted(i for i in adj if i < j) for j, adj in enumerate(g.neighbours)]
-    level: list[tuple[int, ...]] = [()]
-    for j, earlier in enumerate(earliers):
-        size = len(level) * len(closed)
-        if size > HOM_CAP and earlier:
-            first, *rest = earlier
-            size = sum(
-                len(closed_sets[t[first]].intersection(*[closed_sets[t[u]] for u in rest])) for t in level
-            )
-        elif not earlier and (j == 0 or earliers[j - 1]):
-            k = j + 1  # the run of free vertices from j grows unpruned
-            while size <= HOM_CAP and k < len(earliers) and not earliers[k]:
-                size *= len(closed)
-                k += 1
+    sizes, size, left = _level_sizes(g, closed), 1, len(g.vertices)
+    while size * len(closed) ** left > HOM_CAP:
+        size, left = next(sizes), left - 1
         if size > HOM_CAP:
             raise HomCapExceeded(f"the hom search would hold {size} partial homs, over the cap of {HOM_CAP}")
+    closed_sets, everything = [set(c) for c in closed], range(len(closed))
+    level: list[tuple[int, ...]] = [()]
+    for j, adj in enumerate(g.neighbours):
+        earlier = sorted(i for i in adj if i < j)
         if not earlier:
             level = [t + (c,) for t in level for c in everything]
         elif len(earlier) == 1:
@@ -147,6 +135,28 @@ def _hom_images(g: Graph, closed: Sequence[Sequence[int]]) -> list[tuple[int, ..
                 for c in closed[t[first]] if c in others
             ]
     return level
+
+
+def _level_sizes(g: Graph, closed: Sequence[Sequence[int]]) -> Iterable[int]:
+    """The size of each level of ``_hom_images(g, closed)``, counted as
+    H-colourings are along a path decomposition (Diaz, Serna and Thilikos
+    2002): a state is the images of the placed vertices that still have a
+    later neighbour, with how many partial homs agree there.  A level is
+    summed before its states, at most that many, are built."""
+    everything = set(range(len(closed)))
+    last = [max(adj | {j}) for j, adj in enumerate(g.neighbours)]
+    states = {(): 1}  # images of the placed vertices with a later neighbour -> partial homs
+    for j, adj in enumerate(g.neighbours):
+        frontier = [i for i in range(j) if last[i] >= j] + [j]  # a state's vertices, then j
+        at = [frontier.index(i) for i in adj if i < j]
+        yield sum(n * len(everything.intersection(*[closed[s[k]] for k in at])) for s, n in states.items())
+        keep, grown = [k for k, i in enumerate(frontier) if last[i] > j], {}
+        for s, n in states.items():
+            for c in everything.intersection(*[closed[s[k]] for k in at]):
+                t = s + (c,)
+                key = tuple([t[k] for k in keep])
+                grown[key] = grown.get(key, 0) + n
+        states = grown
 
 
 def _graph_hom_images(g: Graph, h: Graph) -> list[tuple[int, ...]]:

@@ -229,6 +229,46 @@ def test_argv_contract_catches_a_split_that_does_not_skip_option_values(capsys, 
     assert ["--output", "F", "g", "a"] in broken
 
 
+def _glued(text):
+    return f"usage error: argument -h/--help: ignored explicit argument {text!r}\n"
+
+
+# -h with text glued on, read as Python 3.11's argparse reads it on every
+# version: (argv, exit code, stderr); a help call prints its usage line
+# first.  From 3.13 argparse reads -hx as -h -x and would print help.
+GLUED_HELP_ARGV = [
+    (["gamma", "-hx", "g"], 3, _glued("x")),
+    (["coreflect", "-hx", "g"], 3, _glued("x")),
+    (["commutation-graph", "-hx", "g"], 3, _glued("x")),
+    (["homs", "-hv", "g", "g"], 3, _glued("v")),
+    (["check", "-hx", "all"], 3, _glued("x")),
+    (["-hx"], 3, _glued("x")),
+    (["-hx", "gamma", "g"], 3, _glued("x")),
+    (["gamma", "g", "-hhx"], 3, _glued("x")),
+    (["check", "all", "-h x"], 3, _glued(" x")),
+    (["homs", "-hh=x", "g", "g"], 3, _glued("=x")),
+    (["homs", "-h=hx", "g", "g"], 3, _glued("x")),
+    (["gamma", "-h=", "g"], 3, _glued("")),
+    (["gamma", "-h-x", "g"], 3, _glued("-x")),
+    (["gamma", "--output", "-hx", "g"], 3, EXPECTED_ONE),
+    (["check", "--seed", "x", "-hx", "all"], 3, "usage error: argument --seed: invalid int value: 'x'\n"),
+    (["gamma", "--", "-hx"], 2, "error: [Errno 2] No such file or directory: '-hx'\n"),
+    (["gamma", "-hh", "g"], 0, ""),
+    (["gamma", "-h=h", "g"], 0, ""),
+]
+
+
+@pytest.mark.parametrize("argv, code, err", GLUED_HELP_ARGV, ids=[repr(argv) for argv, *_ in GLUED_HELP_ARGV])
+def test_glued_help_argv_contract(capsys, contract_dir, argv, code, err):
+    try:
+        got = main(argv)
+    except SystemExit as exc:
+        got = exc.code
+    captured = capsys.readouterr()
+    assert (got, captured.err) == (code, err)
+    assert captured.out.startswith(f"usage: commagraph {argv[0]} ") if code == 0 else captured.out == ""
+
+
 def test_raag_reduce_hands_argparse_only_the_argv_up_to_the_graph(write, capsys, monkeypatch, tmp_path):
     from commagraph import cli
 
@@ -377,11 +417,15 @@ def _edgeless(n: int, prefix: str) -> dict:
 S4 = {"type": "perm", "degree": 4, "generators": [[2, 1, 3, 4], [2, 3, 4, 1]]}
 
 
+PATH20 = {"vertices": [f"v{i}" for i in range(20)], "edges": [[f"v{i}", f"v{i + 1}"] for i in range(19)]}
+
+
 @pytest.mark.parametrize("dom, target, refused", [
     (_edgeless(8, "v"), _edgeless(12, "w"), 12**6),  # 12^8 homs in all
     (_edgeless(6, "v"), S4, 24**5),  # 24^6 homs in all
-    (_edgeless(20, "v"), _edgeless(2, "w"), 2**20),  # refused before the 2^19 level is built
-], ids=["edgeless 8 -> edgeless 12", "edgeless 6 -> S4", "edgeless 20 -> 2 points"])
+    (_edgeless(20, "v"), _edgeless(2, "w"), 2**20),
+    (PATH20, EDGE, 2**20),  # every vertex but the first has an earlier neighbour that prunes nothing
+], ids=["edgeless 8 -> edgeless 12", "edgeless 6 -> S4", "edgeless 20 -> 2 points", "path 20 -> edge"])
 def test_homs_past_the_cap_exit_2_before_building_the_level(write, capsys, dom, target, refused):
     from commagraph.graphs import HOM_CAP
 
@@ -390,17 +434,16 @@ def test_homs_past_the_cap_exit_2_before_building_the_level(write, capsys, dom, 
     assert run(capsys, *argv) == (
         2, "", f"error: HomCapExceeded: the hom search would hold {refused} partial homs, over the cap of {HOM_CAP}\n"
     )
-    assert time.perf_counter() - start < 1.0
-    # the search holds only the last level under the cap, at most 24^4
-    # partial homs here (about 26 MiB); building the refused level, ten
-    # times that or more, before checking it would break this bound
+    assert time.perf_counter() - start < 0.1
+    # the levels are counted before any is built, so the search holds no
+    # level at all; the 2^19 level of path 20 -> edge alone is over 100 MiB
     tracemalloc.start()
     try:
         main(argv)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 48 * 2**20
+    assert peak < 8 * 2**20
 
 
 @pytest.mark.parametrize("seed, tiny", [(0, True), (3, True), (0, False)], ids=["0", "3", "0 benchmark size"])

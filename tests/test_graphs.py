@@ -16,7 +16,7 @@ from commagraph import (
     make_set,
 )
 from commagraph.errors import DomainMismatch, LoopEdge, UnknownVertex
-from commagraph.graphs import graph_from_json, graph_to_json
+from commagraph.graphs import _hom_images, _level_sizes, graph_from_json, graph_to_json
 from commagraph.groups import (
     Raag,
     commutation_graph,
@@ -218,3 +218,58 @@ def test_make_graph_hom_rejects_non_hom():
 def test_graph_json_round_trip(g):
     assert graph_from_json(graph_to_json(g)) == g
 
+
+def _closed(h):
+    return [sorted(adj | {i}) for i, adj in enumerate(h.neighbours)]
+
+
+def _induced(g, k):
+    """The subgraph of g induced on its first k vertices."""
+    labels = g.vertices.labels[:k]
+    return make_graph(make_set(labels), [(u, v) for u, v in g.edges if u in labels and v in labels])
+
+
+def _path(n):
+    labels = [f"p{i}" for i in range(n)]
+    return make_graph(make_set(labels), list(zip(labels, labels[1:])))
+
+
+def test_level_sizes_count_every_level_of_the_hom_search():
+    # every prefix of a labelled graph on <= 5 vertices is one of them, so
+    # each hom set is enumerated once and read by every graph it prefixes
+    targets = [commutation_graph(h) for h in default_ac_groups()] + [
+        make_graph(make_set(["x", "y", "z"]), [("x", "y")]),
+        make_graph(make_set(["x", "y", "z"]), [("x", "y"), ("y", "z")]),
+    ]
+    pool = list(graphs_up_to(5))
+    assert len(pool) == 1_100
+    prefixes = {g: [_induced(g, k) for k in range(1, len(g.vertices) + 1)] for g in pool}
+    for h in targets:
+        closed = _closed(h)
+        homs = {g: len(_hom_images(g, closed)) for g in pool}
+        for g in pool:
+            want = [homs[prefix] for prefix in prefixes[g]]
+            assert list(_level_sizes(g, closed)) == want, (graph_to_json(g), graph_to_json(h))
+
+
+def _path_homs(n, h):
+    """Homs from the n-vertex path into h: the sum of the entries of
+    (A + I)^(n - 1), A the adjacency matrix of h, as n - 1 products with the
+    all-ones vector, over h's edge list alone."""
+    index = {v: i for i, v in enumerate(h.vertices.labels)}
+    walks = [1] * len(index)
+    for _ in range(n - 1):
+        step = list(walks)
+        for u, v in h.edges:
+            step[index[u]] += walks[index[v]]
+            step[index[v]] += walks[index[u]]
+        walks = step
+    return sum(walks)
+
+
+def test_level_sizes_match_the_closed_form_for_paths():
+    s6 = finite_group_from_permutations(6, [(2, 1, 3, 4, 5, 6), (2, 3, 4, 5, 6, 1)])
+    c_s6 = commutation_graph(s6)
+    assert _path_homs(3, c_s6) == 648_720  # as many as the search enumerates
+    assert list(_level_sizes(_path(10), _closed(c_s6)))[-1] == _path_homs(10, c_s6) == 26_342_125_474_406_400
+    assert list(_level_sizes(_path(20), _closed(edge_graph())))[-1] == _path_homs(20, edge_graph()) == 2**20
