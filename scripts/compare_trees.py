@@ -10,13 +10,18 @@ every op that differs, 0 if none does.
 
     python scripts/compare_trees.py ../parent-checkout
     python scripts/compare_trees.py ../parent-checkout --seeds 0 --tiny
+    python3.11 scripts/compare_trees.py . --python python3.13
 
 --tiny shrinks every workload as the benchmark's self-test does and leaves
-out the default-bound ``check all``.
+out the default-bound ``check all``.  --python runs the other checkout
+under another interpreter, this one staying under the interpreter that
+runs the script, so the last line compares one checkout across two Python
+versions.
 """
 
 import argparse
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -28,14 +33,14 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import workloads  # noqa: E402  (perfbench's op lists, read as they are)
 
 
-def _run(src: Path, argv: list[str], output: Path | None) -> tuple:
-    """One op in a fresh process under src: exit code, stdout, stderr and
-    the --output file's bytes (None if it wrote none)."""
+def _run(python: str, src: Path, argv: list[str], output: Path | None) -> tuple:
+    """One op in a fresh process of python under src: exit code, stdout,
+    stderr and the --output file's bytes (None if it wrote none)."""
     if output is not None:
         output.unlink(missing_ok=True)
     # -m puts the working directory first on sys.path, so start in src too
     result = subprocess.run(
-        [sys.executable, "-B", "-m", "commagraph", *argv],
+        [python, "-B", "-m", "commagraph", *argv],
         capture_output=True, env={**os.environ, "PYTHONPATH": str(src)}, cwd=src, timeout=600,
     )
     written = output.read_bytes() if output is not None and output.exists() else None
@@ -55,10 +60,16 @@ def main() -> int:
         "--workloads", nargs="+", choices=workloads.WORKLOADS, default=list(workloads.WORKLOADS), help="workloads to run"
     )
     parser.add_argument("--tiny", action="store_true", help="the self-test's sizes, no default-bound check all")
+    parser.add_argument(
+        "--python", default=sys.executable, help="the interpreter that runs the other checkout (default: this one)"
+    )
     args = parser.parse_args()
-    trees = [ROOT / "src", args.other.resolve() / "src"]
-    if not (trees[1] / "commagraph").is_dir():
+    trees = [(sys.executable, ROOT / "src"), (args.python, args.other.resolve() / "src")]
+    if not (trees[1][1] / "commagraph").is_dir():
         print(f"no src/commagraph under {args.other}", file=sys.stderr)
+        return 2
+    if shutil.which(args.python) is None:
+        print(f"no interpreter {args.python}", file=sys.stderr)
         return 2
 
     differing = []
@@ -71,7 +82,7 @@ def main() -> int:
                 ops = workloads.build(name, seed, workdir, tiny=args.tiny, corrupt=False)
                 plan += [(f"{name} seed {seed}: {op.label}", op.argv, op.output) for op in ops]
         for label, argv, output in plan:
-            here, there = (_run(src, argv, output) for src in trees)
+            here, there = (_run(python, src, argv, output) for python, src in trees)
             changed = _differences(here, there)
             if changed:
                 differing.append(f"{label}: {', '.join(changed)} differ")

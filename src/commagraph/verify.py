@@ -269,9 +269,12 @@ def _word_differential(
     read as trivial iff no letter of the state is live, and the letter
     undone; the rewriting's verdict is whether that letter ends one of the
     prefix's identity words.  The random phase, whose graphs and lengths
-    would make those sets far too large, tests each word in the Tits
-    representation of a right-angled Coxeter group, linear in its length,
-    against the engine's is_identity.  Its words are rng's randint, random
+    would make those sets far too large, checks is_identity on each word
+    against an exponent-sum gate and then the Tits representation of a
+    right-angled Coxeter group, linear in its length: a word with a nonzero
+    exponent sum is no identity, so only the zero-sum ones, about one in
+    six, reach the Tits vector (_exponent_weights), and the gate changes no
+    verdict.  Its words are rng's randint, random
     and randrange draws, made from getrandbits as those make them.  Its
     graphs are drawn one edge at a time, as bits over the pairs in
     graphs_on's order, and each distinct one, of at most 2^C(n,2) on n
@@ -338,6 +341,7 @@ def _word_differential(
             r = getrandbits(k)
         return r
 
+    weights = [_exponent_weights(n) for n in range(_RANDOM_MAX_VERTICES + 1)]
     raags = {}  # (n, bits) -> the group that graph presents
     for _ in range(random_words):
         n = 1 + below(_RANDOM_MAX_VERTICES)
@@ -354,8 +358,20 @@ def _word_differential(
             while c >= m:
                 c = getrandbits(k)
             codes.append(c)
-        fast, oracle = raag.engine.is_identity(codes), raag.engine.oracle_is_identity(codes)
+        engine = raag.engine
+        fast = engine.is_identity(codes)
+        oracle = not sum(map(weights[n].__getitem__, codes)) and engine.oracle_is_identity(codes)
         yield None if fast == oracle else disagreement(raag, codes, fast, oracle)
+
+
+def _exponent_weights(n: int) -> list[int]:
+    """Letter code c's weight in the random phase's exponent-sum gate:
+    +-(2L + 1)^g for generator g = c >> 1, negative for an inverse letter,
+    L being the phase's longest word.  Each of a word's exponent sums lies
+    in -L..L, so its weighted sum is a balanced base-(2L + 1) numeral of
+    them, zero iff every exponent sum is zero; a word with a nonzero one
+    maps to a nonzero element of the abelianization, so it is no identity."""
+    return [(-1) ** c * (2 * _RANDOM_MAX_LEN + 1) ** (c >> 1) for c in range(2 * n)]
 
 
 def _exhaustive_words(max_vertices: int, max_len: int, **_) -> int:

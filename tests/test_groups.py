@@ -1423,30 +1423,50 @@ def test_composing_through_a_hom_evaluates_each_letter_once(monkeypatch):
     assert len(calls) == 3
 
 
-def test_hom_check_finite_domain_matches_every_product():
-    # the generating-set check against f(ab) = f(a)f(b) on all n^2 pairs of a
-    # product table built here, on every map, hom or not, from the built-in
-    # groups of order <= 4 and S3 into those of order <= 4: the five
-    # ac-bijection groups into the five group-reflection codomains (10,416
-    # maps) and the trivial group into each.  Most are no hom, the side of
-    # hom_check that the suites, which enumerate homs, never show it.
+def _hom_check_mismatches(check) -> list:
+    """The maps on which check disagrees with f(ab) = f(a)f(b) on all n^2
+    pairs of a product table built here, over every map, hom or not, from
+    the built-in groups of order <= 4 and S3 into those of order <= 4: the
+    five ac-bijection groups into the five group-reflection codomains
+    (10,416 maps) and the trivial group into each.  Most are no hom, the
+    side of hom_check that the suites, which enumerate homs, never show it.
+    Also counts the maps and the homs among them."""
     small = [trivial_group(), cyclic_group(2), cyclic_group(3), cyclic_group(4), klein_four_group()]
     domains = [*small, symmetric_group_3()]
     tables = {
         id(h): {(a, b): h.multiply(a, b) for a in h.elements.labels for b in h.elements.labels} for h in domains
     }
     pairs = [(dom, cod) for dom in domains for cod in small]
+    mismatches = []
     maps = homs = 0
     for dom, cod in pairs:
         labels, dom_table, cod_table = dom.elements.labels, tables[id(dom)], tables[id(cod)]
         for values in product(cod.elements.labels, repeat=len(labels)):
             images = dict(zip(labels, values))
             every_product = all(images[ab] == cod_table[images[a], images[b]] for (a, b), ab in dom_table.items())
-            assert hom_check(GroupHom(dom, cod, images)) == every_product, (labels, values)
+            if check(GroupHom(dom, cod, images)) != every_product:
+                mismatches.append((labels, values))
             maps += 1
             homs += every_product
     assert maps == 10_416 + 14
     assert homs == sum(len(enumerate_homs_finite_to_finite(dom, cod)) for dom, cod in pairs)
+    return mismatches
+
+
+def test_hom_check_finite_domain_matches_every_product():
+    assert _hom_check_mismatches(hom_check) == []
+
+
+def test_an_always_true_hom_check_fails_the_product_test():
+    assert _hom_check_mismatches(lambda f: True) != []
+
+
+def test_hom_check_into_a_presented_group_multiplies_words():
+    # C2 -> Raag(edge): g -> a would need a.a = f(g.g) = f(e), the empty word
+    c2, raag = cyclic_group(2), edge_raag()
+    assert raag.multiply((A,), (A, B)) == (A, A, B) and raag.multiply((A, B), (iB, iA)) == ()
+    assert not hom_check(GroupHom(c2, raag, {"e": (), "g": (A,)}))
+    assert hom_check(GroupHom(c2, raag, {"e": (), "g": ()}))
 
 
 def test_homs_with_equal_images_differ_by_domain():

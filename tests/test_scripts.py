@@ -86,3 +86,19 @@ def test_compare_trees_lists_each_op_that_differs(tmp_path):
     assert len(listed) == 5  # S4 as permutations and as a table, and three dihedral groups
     assert all(" commutation-graph " in line and line.endswith(": stderr differ") for line in listed)
     assert result.stderr.startswith(f"{len(listed)} of 9 ops differ")
+
+
+def test_compare_trees_runs_the_other_checkout_under_a_given_interpreter():
+    result = run_script(
+        "compare_trees.py", str(ROOT), "--tiny", "--seeds", "0", "--workloads", "group-scale",
+        "--python", sys.executable,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert result.stdout == ""
+    assert re.fullmatch(r"0 of [1-9]\d* ops differ between .*\n", result.stderr)
+
+
+def test_compare_trees_refuses_an_interpreter_it_cannot_find(tmp_path):
+    result = run_script("compare_trees.py", str(ROOT), "--tiny", "--python", str(tmp_path / "no-python"))
+    assert result.returncode == 2 and result.stdout == ""
+    assert result.stderr == f"no interpreter {tmp_path / 'no-python'}\n"

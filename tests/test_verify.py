@@ -413,6 +413,98 @@ def test_word_differential_random_words_are_the_stdlib_draws(monkeypatch, seed):
     assert asked == expected
 
 
+def _zero_sum(codes) -> bool:
+    """Whether every generator's exponent sum in the word is zero, counted
+    letter by letter."""
+    sums: dict[int, int] = {}
+    for c in codes:
+        sums[c >> 1] = sums.get(c >> 1, 0) + (-1 if c & 1 else 1)
+    return not any(sums.values())
+
+
+def _random_phase_words(monkeypatch, seed):
+    """The random phase's words at seed, each with its engine, in the order
+    is_identity is asked about them."""
+    from commagraph.groups import _RaagEngine
+
+    real = _RaagEngine.is_identity
+    asked = []
+
+    def recording(self, enc):
+        asked.append((self, tuple(enc)))
+        return real(self, enc)
+
+    monkeypatch.setattr(_RaagEngine, "is_identity", recording)
+    assert verify.run_suite("word-differential", seed=seed, max_vertices=0, max_len=0).passed
+    monkeypatch.undo()
+    return asked
+
+
+def _weighs_zero(engine, codes) -> bool:
+    weights = verify._exponent_weights(len(engine.labels))
+    return not sum(weights[c] for c in codes)
+
+
+def _gated(engine, codes) -> bool:
+    return _weighs_zero(engine, codes) and engine.oracle_is_identity(codes)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_exponent_sum_gate_changes_no_verdict_on_the_random_words(monkeypatch, seed):
+    words = _random_phase_words(monkeypatch, seed)
+    assert len(words) == 10000
+    assert all(_gated(engine, codes) == engine.oracle_is_identity(codes) for engine, codes in words)
+    assert all(_weighs_zero(engine, codes) == _zero_sum(codes) for engine, codes in words)
+
+
+def test_exponent_sum_gate_changes_no_verdict_on_every_short_word():
+    # every word of <= 5 letters over every labelled graph on <= 3 vertices
+    checked = zero_sum = 0
+    for g in verify.graphs_up_to(3):
+        engine = Raag(g).engine
+        for length in range(6):
+            for codes in product(range(2 * len(g.vertices)), repeat=length):
+                assert _weighs_zero(engine, codes) == _zero_sum(codes), codes
+                assert _gated(engine, codes) == engine.oracle_is_identity(codes), (g, codes)
+                checked += 1
+                zero_sum += _zero_sum(codes)
+    assert checked == verify._exhaustive_words(3, 5)
+    assert 0 < zero_sum < checked
+
+
+@pytest.mark.parametrize("seed, zero_sum", [(0, 1566), (1, 1574), (2, 1559), (3, 1571)])
+def test_tits_oracle_runs_once_per_zero_sum_random_word(monkeypatch, seed, zero_sum):
+    from commagraph.groups import _RaagEngine
+
+    words = [codes for _, codes in _random_phase_words(monkeypatch, seed)]
+    real = _RaagEngine.oracle_is_identity
+    asked = []
+
+    def counting(self, enc):
+        asked.append(tuple(enc))
+        return real(self, enc)
+
+    monkeypatch.setattr(_RaagEngine, "oracle_is_identity", counting)
+    assert verify.run_suite("word-differential", seed=seed, max_vertices=0, max_len=0).passed
+    assert asked == [codes for codes in words if _zero_sum(codes)]
+    assert len(asked) == zero_sum
+
+
+def test_exponent_sum_gate_that_misreads_a_sign_is_caught(monkeypatch):
+    # inverse letters weighted + as well: every nonempty word reads as
+    # nonzero-sum, so the first nonempty identity word of the random phase
+    # fails, after the exhaustive phase, which asks no gate, has passed
+    real = verify._exponent_weights
+    monkeypatch.setattr(verify, "_exponent_weights", lambda n: [abs(w) for w in real(n)])
+    report = verify.run_suite("word-differential")
+    assert not report.passed
+    ce = report.counterexample
+    assert report.cases_checked > verify._exhaustive_words(3, 6)
+    assert ce["fast"] and ce["word"]
+    monkeypatch.undo()
+    assert _replayed_verdict(ce) == ce["fast"] != ce["oracle"]
+
+
 @pytest.mark.parametrize(
     "edges, dropped",
     [
