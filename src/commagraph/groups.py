@@ -7,8 +7,9 @@ and "-a" for its inverse, through the one token table that also writes
 them, so every word a group prints reads back as itself.  Equality of RAAG
 elements is decided by a one-pass cancellation engine, O(n*k) for n
 letters over k generators (Wrathall 1988), which each presented group
-builds once and holds (Raag.engine), and double-checked
-elsewhere by two oracles that use none of it.  The engine's one step folds
+builds once and holds (Raag.engine), and double-checked elsewhere by two
+oracles that use none of it and read the presentation graph's neighbour
+sets themselves.  The engine's one step folds
 letters into a cancellation state and has an exact undo, so a walk over
 many words that share prefixes redoes only the letters that change.  A
 rewriting (swaps of adjacent commuting letters, free cancellations) builds
@@ -16,8 +17,9 @@ every identity word of each length once, inserting an inverse pair into the
 shorter ones and closing under swaps, so a short word is tested by a
 lookup.  The faithful Tits representation of a right-angled Coxeter group
 that contains the RAAG (Davis-Januszkiewicz 2000) tests a word of any
-length in O(n*k), on exact integers, each reflection moving only the
-coordinates of the reflections it does not commute with.  Reduced words are
+length in O(n*k), on exact integers, each letter applying its two
+reflections and each reflection moving only the coordinates of the
+reflections it does not commute with.  Reduced words are
 put into a canonical form, the lexicographically least word obtainable by
 swapping adjacent commuting letters, by inserting each letter before the
 first larger one of the letters it commutes past, typically in O(n), with
@@ -161,12 +163,12 @@ class _RaagEngine:
     Generator i gets codes 2i (positive) and 2i+1 (inverse), so the inverse
     of a code is code^1 and its generator is code>>1.  blocking[i] holds i
     and its non-neighbours: the generators a letter of i never moves past.
-    letter_adjacent, which only the oracles read, says which codes commute;
-    it and the Tits oracle's noncommuting lists derived from it are built on
-    their first read, since reducing a word never needs them.  token_table,
-    also built on its first read, maps word tokens to codes and back: words
-    enter through read_tokens or encode, the two places their letters are
-    checked, and leave through write_tokens or decode.
+    The oracles read neighbours instead; the Tits oracle's noncommuting
+    lists, derived from it, are built on their first read, since reducing a
+    word never needs them.  token_table, also built on its first read, maps
+    word tokens to codes and back: words enter through read_tokens or
+    encode, the two places their letters are checked, and leave through
+    write_tokens or decode.
     """
 
     def __init__(self, graph: Graph):
@@ -177,19 +179,12 @@ class _RaagEngine:
         self.blocking = [tuple(h for h in range(n) if h not in self.neighbours[g]) for g in range(n)]
 
     @cached_property
-    def letter_adjacent(self) -> list[list[bool]]:
-        neighbours = self.neighbours
-        codes = range(2 * len(neighbours))
-        return [[(b >> 1) in neighbours[a >> 1] for b in codes] for a in codes]
-
-    @cached_property
     def noncommuting(self) -> list[list[int]]:
-        """For each code, the other codes it does not commute with, read from
-        letter_adjacent on the first oracle read."""
-        return [
-            [t for t, commutes in enumerate(row) if not commutes and t != s]
-            for s, row in enumerate(self.letter_adjacent)
-        ]
+        """For each code c, the codes it does not commute with: its twin c^1,
+        then both codes of each other generator not adjacent to c's."""
+        n = len(self.neighbours)
+        others = [[h for h in range(n) if h != g and h not in self.neighbours[g]] for g in range(n)]
+        return [[c ^ 1] + [t for h in others[c >> 1] for t in (2 * h, 2 * h + 1)] for c in range(2 * n)]
 
     @cached_property
     def token_table(self) -> tuple[dict[str, int], list[str | None]]:
@@ -414,24 +409,19 @@ class _RaagEngine:
         f[t] -= 2*B(s,t)*f[s], B being 1 on the diagonal, -1 between
         non-commuting reflections and 0 between commuting ones.  The chamber
         action is simply transitive (Bourbaki, ch. V 4): the word is trivial
-        iff f comes back.  The form reads letter_adjacent only, through
+        iff f comes back.  The form reads the graph only through
         noncommuting, each reflection's list of the others it does not
         commute with, so a reflection moves just the entries where B is
         nonzero; it never reads blocking."""
         noncommuting = self.noncommuting
         f = [1] * len(noncommuting)
         for c in enc:
-            fs = f[c]
-            twice = 2 * fs
-            for t in noncommuting[c]:
-                f[t] += twice
-            f[c] = -fs  # B(c,c) = 1
-            c ^= 1
-            fs = f[c]
-            twice = 2 * fs
-            for t in noncommuting[c]:
-                f[t] += twice
-            f[c] = -fs
+            for s in (c, c ^ 1):
+                fs = f[s]
+                twice = 2 * fs
+                for t in noncommuting[s]:
+                    f[t] += twice
+                f[s] = -fs  # B(s,s) = 1
         return f.count(1) == len(f)
 
     def oracle_identity_words(self, max_len: int) -> list[set[tuple[int, ...]]]:
@@ -441,8 +431,8 @@ class _RaagEngine:
         length n inserts an inverse pair at every position of every identity
         word of length n-2, then closes the result under swaps of adjacent
         commuting letters."""
-        letter_adjacent = self.letter_adjacent
-        letters = range(len(letter_adjacent))
+        neighbours = self.neighbours
+        letters = range(2 * len(neighbours))
         words: list[set[tuple[int, ...]]] = [{()}]
         for n in range(1, max_len + 1):
             found: set[tuple[int, ...]] = set()
@@ -458,7 +448,7 @@ class _RaagEngine:
                 u = stack.pop()
                 for i in range(n - 1):
                     a, b = u[i], u[i + 1]
-                    if letter_adjacent[a][b]:
+                    if b >> 1 in neighbours[a >> 1]:
                         v = u[:i] + (b, a) + u[i + 2:]
                         if v not in found:
                             found.add(v)

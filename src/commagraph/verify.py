@@ -9,7 +9,8 @@ subcommands, though not every failure replays as one CLI call.
 A suite is a generator that yields once per case: None when the case
 passes, its counterexample when it fails.  A check that is not a case
 (couniversal comparing a pair's morphism and hom counts, group reflection
-checking its unit) ends the generator by returning its counterexample.
+checking its unit and a pair's hom list) ends the generator by returning
+its counterexample.
 One driver, ``run_suite``, counts the cases, stops at the first
 counterexample and builds the report; one registry, ``SUITES``, holds each
 suite's scope and the default and legal range of each bound a caller sets,
@@ -222,9 +223,27 @@ def _couniversal(pool: list[comma.CommaObject], max_vertices: int) -> Cases:
                         "morphisms": len(morphisms), "graph_homs": len(homs)}
 
 
+def _table_homs(dom: FiniteGroup, cod: FiniteGroup) -> list[tuple[int, ...]]:
+    """Every map of dom's elements into cod's that respects dom's whole
+    product table, as index tuples in lexicographic order: images go to the
+    elements in storage order, and x*y = z is checked as soon as x, y and z
+    all have one.  No generating set and no walk: it shares no step with
+    the hom search that group-reflection checks against it."""
+    checks = [[] for _ in dom.rows]  # x*y = z, at the last of x, y and z to get an image
+    for x, row in enumerate(dom.rows):
+        for y, z in enumerate(row):
+            checks[max(x, y, z)].append((x, y, z))
+    maps = [()]
+    for products in checks:
+        extended = (m + (c,) for m in maps for c in range(len(cod.rows)))
+        maps = [f for f in extended if all(cod.rows[f[x]][f[y]] == f[z] for x, y, z in products)]
+    return maps
+
+
 def _group_reflection(pool: list[comma.CommaObject], codomains: list[FiniteGroup]) -> Cases:
     """The unit into the embedded target group is couniversal the other way
-    round: morphisms into embedded groups factor uniquely through it."""
+    round: morphisms into embedded groups factor uniquely through it, and
+    each pair's hom list is every hom, in order (_table_homs; not a case)."""
     for w in pool:
         reflection = comma.reflect_to_group(w)
         if not comma.is_comma_morphism(reflection.unit):
@@ -246,6 +265,10 @@ def _group_reflection(pool: list[comma.CommaObject], codomains: list[FiniteGroup
                 else:
                     reason = "induced morphism into the embedded group does not commute"
                     yield {**where, "reason": reason}
+            homs = [tuple(k.elements.positions[f.images[a]] for a in w.target.elements) for f in hom_list]
+            expected = _table_homs(w.target, k)
+            if homs != expected:
+                return {**where, "homs": len(homs), "table_homs": len(expected)}
     return None
 
 

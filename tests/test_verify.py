@@ -301,16 +301,21 @@ def test_word_differential_oracle_swap_mutation_is_caught(monkeypatch):
     assert _replayed_verdict(ce) == ce["fast"] != ce["oracle"]
 
 
-def _twins_commute(letter_adjacent):
+def _twins_commute(noncommuting):
     # each generator's two reflections commute: every generator is an involution
-    for c, row in enumerate(letter_adjacent):
-        row[c ^ 1] = True
+    for c, row in enumerate(noncommuting):
+        row.remove(c ^ 1)
 
 
-def _one_entry_flipped(letter_adjacent):
+def _one_entry_flipped(noncommuting):
     # one wrong off-diagonal entry, between the first reflections of a and b
-    if len(letter_adjacent) > 2:
-        letter_adjacent[0][2] = letter_adjacent[2][0] = not letter_adjacent[0][2]
+    if len(noncommuting) > 2:
+        for s, t in ((0, 2), (2, 0)):
+            row = noncommuting[s]
+            if t in row:
+                row.remove(t)
+            else:
+                row.append(t)
 
 
 @pytest.mark.parametrize("corrupt", [_twins_commute, _one_entry_flipped])
@@ -321,9 +326,32 @@ def test_word_differential_tits_form_mutation_is_caught(monkeypatch, corrupt):
 
     def corrupted(self, graph):
         real(self, graph)
-        corrupt(self.letter_adjacent)
+        corrupt(self.noncommuting)
 
     monkeypatch.setattr(_RaagEngine, "__init__", corrupted)
+    report = verify.run_suite("word-differential", max_len=0)
+    assert not report.passed
+    ce = report.counterexample
+    monkeypatch.undo()
+    assert _replayed_verdict(ce) == ce["fast"] != ce["oracle"]
+
+
+def test_word_differential_tits_step_with_one_reflection_is_caught(monkeypatch):
+    # letter c must apply both reflections c and c^1: with c alone, a and
+    # a^-1 are distinct reflections and a.a^-1 reads as no identity
+    from commagraph.groups import _RaagEngine
+
+    def one_reflection(self, enc):
+        noncommuting = self.noncommuting
+        f = [1] * len(noncommuting)
+        for c in enc:
+            fs = f[c]
+            for t in noncommuting[c]:
+                f[t] += 2 * fs
+            f[c] = -fs
+        return f.count(1) == len(f)
+
+    monkeypatch.setattr(_RaagEngine, "oracle_is_identity", one_reflection)
     report = verify.run_suite("word-differential", max_len=0)
     assert not report.passed
     ce = report.counterexample
@@ -340,7 +368,7 @@ def test_word_differential_random_words_are_pinned(monkeypatch):
 
     def corrupted(self, graph):
         real(self, graph)
-        _one_entry_flipped(self.letter_adjacent)
+        _one_entry_flipped(self.noncommuting)
 
     monkeypatch.setattr(_RaagEngine, "__init__", corrupted)
     report = verify.run_suite("word-differential", seed=0, max_len=0)
@@ -360,7 +388,7 @@ def test_word_differential_blocking_table_mutation_is_caught(monkeypatch):
 
     def leaky_blocking(self, graph):
         # the engine's table forgets the first non-neighbour of the first
-        # generator that has one; the oracle reads letter_adjacent instead
+        # generator that has one; the oracles read neighbours instead
         real(self, graph)
         for g, row in enumerate(self.blocking):
             others = [h for h in row if h != g]
@@ -552,12 +580,12 @@ def test_word_differential_walks_every_word_once_in_product_order(monkeypatch, e
 
 
 def test_word_differential_noncommuting_mutation_is_caught(monkeypatch):
-    # the Tits oracle reads noncommuting, not letter_adjacent, so a corrupted
-    # entry of that derived form alone must be caught.  A code removed from
-    # one list is no fault: the two reflections still do not commute, and in
-    # every graph on 1..3 vertices no such removal changes a verdict up to
-    # length 6.  A code added to one list, a reflection that moves the entry
-    # of one it commutes with, is a fault.
+    # the Tits oracle reads the graph only through noncommuting, so a
+    # corrupted entry of that derived form alone must be caught.  A code
+    # removed from one list is no fault: the two reflections still do not
+    # commute, and in every graph on 1..3 vertices no such removal changes a
+    # verdict up to length 6.  A code added to one list, a reflection that
+    # moves the entry of one it commutes with, is a fault.
     from commagraph.groups import _RaagEngine
 
     real = _RaagEngine.__init__
@@ -1026,6 +1054,30 @@ def test_a_non_hom_among_the_group_homs_fails_group_reflection(monkeypatch):
     assert report.counterexample["reason"] == "induced morphism into the embedded group does not commute"
     assert sorted(report.counterexample) == ["codomain", "object", "reason"]
     assert report.cases_checked == 4  # C2 into the trivial group, into C2 twice, then the non-hom
+
+
+@pytest.mark.parametrize(
+    "keep, cases, homs",
+    [
+        (lambda homs, cod: homs[1:], 0, 0),
+        (lambda homs, cod: homs[:-1], 0, 0),
+        (lambda homs, cod: [f for f in homs if set(f.images.values()) == {cod.identity}], 2, 1),
+    ],
+    ids=["first-dropped", "last-dropped", "trivial-only"],
+)
+def test_a_hom_list_missing_homs_fails_group_reflection(monkeypatch, keep, cases, homs):
+    # every morphism built from a short list still factors once through the
+    # unit; only the comparison with the maps that respect the whole product
+    # table, made after each pair's cases and not a case itself, sees the gap
+    real = verify.enumerate_homs_finite_to_finite
+    monkeypatch.setattr(verify, "enumerate_homs_finite_to_finite", lambda dom, cod: keep(real(dom, cod), cod))
+    for seed in (0, 1, 2):
+        report = verify.run_suite("group-reflection", seed=seed)
+        assert not report.passed
+        assert report.cases_checked == cases
+        ce = report.counterexample
+        assert sorted(ce) == ["codomain", "homs", "object", "table_homs"]
+        assert (ce["homs"], ce["table_homs"]) == (homs, homs + 1)
 
 
 # ---------------------------------------------------------------------------
