@@ -23,6 +23,7 @@ set map.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from typing import Mapping
 
@@ -176,8 +177,16 @@ def enumerate_morphisms_from_embedded_graph(g: Graph, w: CommaObject) -> list[Co
 
 @dataclass(frozen=True, eq=False)
 class Coreflection:
+    """The coreflection of obj: its graph, and the counit from the embedded
+    graph into obj, built on its first read and then kept, as embed_graph
+    keeps an embedding; a caller that reads only the graph builds none."""
+
+    obj: CommaObject
     graph: Graph
-    counit: CommaMorphism
+
+    @cached_property
+    def counit(self) -> CommaMorphism:
+        return _from_embedded(embed_graph(self.graph), self.obj, identity_map(self.obj.gens))
 
 
 def coreflect(w: CommaObject) -> Coreflection:
@@ -192,15 +201,14 @@ def coreflect(w: CommaObject) -> Coreflection:
     edges = tuple(
         (labels[i], labels[j]) for i in range(len(labels)) for j in range(i + 1, len(labels)) if commute[i][j]
     )
-    graph = Graph(w.gens, edges)
-    return Coreflection(graph, _from_embedded(embed_graph(graph), w, identity_map(w.gens)))
+    return Coreflection(w, Graph(w.gens, edges))
 
 
 def factor_through_coreflection(core: Coreflection, m: CommaMorphism) -> GraphHom:
     """The unique graph hom, out of the graph m's source embeds, whose embedding
     followed by the counit is m; make_map refuses a partial or stray vertex map."""
     source = m.src.target
-    if not isinstance(source, Raag) or m.src != embed_graph(source.presentation) or m.dst != core.counit.dst:
+    if not isinstance(source, Raag) or m.src != embed_graph(source.presentation) or m.dst != core.obj:
         raise ObjectMismatch("the morphism must run from the embedded graph to the coreflected object")
     try:
         return make_graph_hom(source.presentation, core.graph, m.f_set.mapping)

@@ -127,6 +127,9 @@ def _hom_images(g: Graph, closed: Sequence[Sequence[int]]) -> list[tuple[int, ..
             level = [t + (c,) for t in level for c in everything]
         elif len(earlier) == 1:
             level = [t + (c,) for t in level for c in closed[t[earlier[0]]]]
+        elif len(earlier) == 2:
+            first, second = earlier
+            level = [t + (c,) for t in level for c in closed[t[first]] if c in closed_sets[t[second]]]
         else:
             first, second, *rest = earlier
             level = [

@@ -176,7 +176,7 @@ class _RaagEngine:
         self.positions = graph.vertices.positions
         self.neighbours = graph.neighbours
         n = len(self.labels)
-        self.blocking = [tuple(h for h in range(n) if h not in self.neighbours[g]) for g in range(n)]
+        self.blocking = [tuple([h for h in range(n) if h not in adj]) for adj in self.neighbours]
 
     @cached_property
     def noncommuting(self) -> list[list[int]]:

@@ -29,7 +29,7 @@ from typing import Callable, Iterator, Sequence
 from . import comma
 from .errors import NotFactorable, UnknownSuite, UsageError
 from .graphs import (
-    Graph, _graph_hom_images, discrete, enumerate_graph_homs, graph_to_json, indiscrete, make_graph,
+    Graph, _graph_hom_images, discrete, enumerate_graph_homs, graph_to_json, indiscrete,
 )
 from .groups import (
     FiniteGroup, Raag, _raag_hom_images, commutation_graph,
@@ -73,8 +73,9 @@ _PAIRS = [tuple(combinations(_LABELS[:n], 2)) for n in range(len(_LABELS) + 1)]
 
 def _labelled_graph(n: int, bits: int) -> Graph:
     """The graph on the first n standard labels whose edges are the pairs
-    at the set bits of bits."""
-    return make_graph(_LABEL_SETS[n], [p for k, p in enumerate(_PAIRS[n]) if bits >> k & 1])
+    at the set bits of bits, taken in _PAIRS order, which is already the
+    canonical order make_graph would sort them into."""
+    return Graph(_LABEL_SETS[n], tuple([p for k, p in enumerate(_PAIRS[n]) if bits >> k & 1]))
 
 
 def graphs_on(n: int):
@@ -243,15 +244,23 @@ def _table_homs(dom: FiniteGroup, cod: FiniteGroup) -> list[tuple[int, ...]]:
 def _group_reflection(pool: list[comma.CommaObject], codomains: list[FiniteGroup]) -> Cases:
     """The unit into the embedded target group is couniversal the other way
     round: morphisms into embedded groups factor uniquely through it, and
-    each pair's hom list is every hom, in order (_table_homs; not a case)."""
+    each pair's hom list is every hom, in order (_table_homs; not a case).
+    Pool objects share target groups, so each distinct pair of target
+    (by value) and codomain is searched once, at its first object, and its
+    list checked there after that object's cases."""
+    embedded_codomains = [(k, comma.embed_group(k)) for k in codomains]
+    targets: list[FiniteGroup] = []  # each distinct target group so far
+    hom_lists: list[list] = []  # per target, its hom list into each codomain
     for w in pool:
         reflection = comma.reflect_to_group(w)
         if not comma.is_comma_morphism(reflection.unit):
             return {"object": comma.comma_object_to_json(w), "reason": "unit is not a comma morphism"}
         source = comma.embed_group(w.target)  # not the unit's own codomain: composing compares by value
-        for k in codomains:
-            embedded = comma.embed_group(k)
-            hom_list = enumerate_homs_finite_to_finite(w.target, k)
+        first = w.target not in targets  # the first object over its target group
+        if first:
+            targets.append(w.target)
+            hom_lists.append([enumerate_homs_finite_to_finite(w.target, k) for k in codomains])
+        for (k, embedded), hom_list in zip(embedded_codomains, hom_lists[targets.index(w.target)]):
             composites = [
                 comma.compose_comma(reflection.unit, comma.into_embedded_group(source, embedded, f))
                 for f in hom_list
@@ -265,10 +274,11 @@ def _group_reflection(pool: list[comma.CommaObject], codomains: list[FiniteGroup
                 else:
                     reason = "induced morphism into the embedded group does not commute"
                     yield {**where, "reason": reason}
-            homs = [tuple(k.elements.positions[f.images[a]] for a in w.target.elements) for f in hom_list]
-            expected = _table_homs(w.target, k)
-            if homs != expected:
-                return {**where, "homs": len(homs), "table_homs": len(expected)}
+            if first:
+                homs = [tuple(k.elements.positions[f.images[a]] for a in w.target.elements) for f in hom_list]
+                expected = _table_homs(w.target, k)
+                if homs != expected:
+                    return {**where, "homs": len(homs), "table_homs": len(expected)}
     return None
 
 

@@ -28,7 +28,7 @@ from commagraph import (
     reflect_to_group,
     symmetric_group_3,
 )
-from commagraph.comma import comma_morphism_to_json, comma_object_from_json, comma_object_to_json
+from commagraph.comma import _from_embedded, comma_morphism_to_json, comma_object_from_json, comma_object_to_json
 from commagraph.errors import (
     MalformedInput,
     MissingImage,
@@ -367,6 +367,20 @@ def test_coreflect_noncommuting_images_is_discrete():
 def test_counit_is_valid_on_pool():
     for w in default_pool():
         assert is_comma_morphism(coreflect(w).counit)
+
+
+def test_counit_is_built_once_on_first_read_and_equals_the_eager_one():
+    # coreflect keeps the object and builds no counit; the first read builds
+    # it, every later read returns that same morphism, and it is the one
+    # built straight from the graph and the object
+    objects = [w for seed in range(3) for w in default_pool(seed)] + [embed_graph(g) for g in graphs_up_to(3)]
+    for w in objects:
+        core = coreflect(w)
+        counit = core.counit
+        assert core.counit is counit
+        eager = _from_embedded(embed_graph(core.graph), w, identity_map(w.gens))
+        assert counit == eager
+        assert comma_morphism_to_json(counit) == comma_morphism_to_json(eager)
 
 
 def test_counit_is_valid_on_random_order_8_targets():

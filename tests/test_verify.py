@@ -1,13 +1,14 @@
 import random
 import time
 from itertools import combinations, product
+from math import comb
 
 import pytest
 
 from commagraph import cli, comma, verify
 from commagraph.graphs import Graph, enumerate_graph_homs, graph_from_json, make_graph
 from commagraph.groups import (
-    FiniteGroup, GroupHom, Raag, commutation_graph, enumerate_homs_raag_to_finite, identity_group_hom,
+    FiniteGroup, GroupHom, Raag, commutation_graph, enumerate_homs_raag_to_finite,
 )
 from commagraph.sets import SetMap, identity_map, make_set
 
@@ -15,6 +16,19 @@ from commagraph.sets import SetMap, identity_map, make_set
 def test_graphs_on_counts():
     for n, expected in [(0, 1), (1, 1), (2, 2), (3, 8), (4, 64)]:
         assert sum(1 for _ in verify.graphs_on(n)) == expected
+
+
+def test_labelled_graph_is_the_graph_make_graph_builds():
+    # _labelled_graph skips make_graph's canonicalisation; make_graph, given
+    # the same edges reversed and in reverse order, must build the same graph
+    for n in range(len(verify._LABELS) + 1):
+        pairs = list(combinations(verify._LABELS[:n], 2))
+        for bits in range(2 ** comb(n, 2)):
+            edges = [(v, u) for k, (u, v) in enumerate(pairs) if bits >> k & 1]
+            expected = make_graph(make_set(verify._LABELS[:n]), edges[::-1])
+            g = verify._labelled_graph(n, bits)
+            assert g == expected
+            assert g.edges == expected.edges and isinstance(g.edges, tuple)
 
 
 def test_unit_iso_passes_and_counts():
@@ -37,7 +51,7 @@ def test_unit_iso_mutation_is_caught(monkeypatch):
     def corrupted(w):
         core = real(w)
         if core.graph.edges:
-            return comma.Coreflection(Graph(core.graph.vertices, core.graph.edges[1:]), core.counit)
+            return comma.Coreflection(w, Graph(core.graph.vertices, core.graph.edges[1:]))
         return core
 
     monkeypatch.setattr(comma, "coreflect", corrupted)
@@ -51,14 +65,26 @@ def test_unit_iso_mutation_is_caught(monkeypatch):
     assert comma.coreflect(comma.embed_graph(witness)).graph == witness
 
 
+def test_unit_iso_builds_no_counit(monkeypatch):
+    # unit-iso reads only each coreflection's graph, so no counit is built
+    real = comma._from_embedded
+    calls = 0
+
+    def counting(src, w, f_set):
+        nonlocal calls
+        calls += 1
+        return real(src, w, f_set)
+
+    monkeypatch.setattr(comma, "_from_embedded", counting)
+    report = verify.run_suite("unit-iso", max_vertices=4)
+    assert report.passed and report.cases_checked == 76
+    assert calls == 0
+    core = comma.coreflect(comma.embed_graph(make_graph(make_set(["a"]), [])))
+    assert core.counit.dst is core.obj and calls == 1  # a counit that is read is counted
+
+
 def test_failed_report_carries_counterexample_json(monkeypatch):
-    monkeypatch.setattr(
-        comma,
-        "coreflect",
-        lambda w: comma.Coreflection(
-            Graph(w.gens, ()), comma.CommaMorphism(w, w, identity_map(w.gens), identity_group_hom(w.target))
-        ),
-    )
+    monkeypatch.setattr(comma, "coreflect", lambda w: comma.Coreflection(w, Graph(w.gens, ())))
     report = verify.run_suite("unit-iso", max_vertices=2)
     assert not report.passed
     data = report.to_json()
@@ -1054,6 +1080,27 @@ def test_a_non_hom_among_the_group_homs_fails_group_reflection(monkeypatch):
     assert report.counterexample["reason"] == "induced morphism into the embedded group does not commute"
     assert sorted(report.counterexample) == ["codomain", "object", "reason"]
     assert report.cases_checked == 4  # C2 into the trivial group, into C2 twice, then the non-hom
+
+
+def test_group_reflection_searches_each_distinct_pair_once(monkeypatch):
+    # the default pool's 17 objects have 5 target groups, so 25 distinct
+    # (target, codomain) pairs: one hom search and one table search each
+    searched = {"homs": [], "table": []}
+    real_homs, real_table = verify.enumerate_homs_finite_to_finite, verify._table_homs
+
+    def counting(kind, real):
+        def search(dom, cod):
+            searched[kind].append((dom, cod))
+            return real(dom, cod)
+        return search
+
+    monkeypatch.setattr(verify, "enumerate_homs_finite_to_finite", counting("homs", real_homs))
+    monkeypatch.setattr(verify, "_table_homs", counting("table", real_table))
+    report = verify.run_suite("group-reflection", seed=0)
+    assert report.passed and report.cases_checked == 215
+    for pairs in searched.values():
+        assert len(pairs) == 25
+        assert all(pairs[i] != pairs[j] for i in range(25) for j in range(i))
 
 
 @pytest.mark.parametrize(
