@@ -3,8 +3,10 @@
 
 Every op of the benchmark's workloads (perfbench/workloads.py) is run once
 under each checkout's src/, each in its own ``python -m commagraph``
-process, on the same seeded inputs; so is ``check all --seed 0`` at its
-default bounds.  For each op the exit code, standard output, standard
+process, on the same seeded inputs; so are ``check all --seed 0`` at its
+default bounds and ``check word-differential --max-word-len 7 --seed 0``,
+the deepest window, whose 2,731,330 exhaustive words pass in counts of a
+prefix block each.  For each op the exit code, standard output, standard
 error and the bytes of its --output file must be equal.  Exits 1 and lists
 every op that differs, 0 if none does.
 
@@ -13,10 +15,9 @@ every op that differs, 0 if none does.
     python3.11 scripts/compare_trees.py . --python python3.13
 
 --tiny shrinks every workload as the benchmark's self-test does and leaves
-out the default-bound ``check all``.  --python runs the other checkout
-under another interpreter, this one staying under the interpreter that
-runs the script, so the last line compares one checkout across two Python
-versions.
+out both checks.  --python runs the other checkout under another
+interpreter, this one staying under the interpreter that runs the script,
+so the last line compares one checkout across two Python versions.
 """
 
 import argparse
@@ -59,7 +60,7 @@ def main() -> int:
     parser.add_argument(
         "--workloads", nargs="+", choices=workloads.WORKLOADS, default=list(workloads.WORKLOADS), help="workloads to run"
     )
-    parser.add_argument("--tiny", action="store_true", help="the self-test's sizes, no default-bound check all")
+    parser.add_argument("--tiny", action="store_true", help="the self-test's sizes, and neither check")
     parser.add_argument(
         "--python", default=sys.executable, help="the interpreter that runs the other checkout (default: this one)"
     )
@@ -74,7 +75,8 @@ def main() -> int:
 
     differing = []
     with tempfile.TemporaryDirectory() as tmp:
-        plan = [] if args.tiny else [("check all --seed 0", ["check", "all", "--seed", "0"], None)]
+        checks = [["check", "all", "--seed", "0"], ["check", "word-differential", "--max-word-len", "7", "--seed", "0"]]
+        plan = [] if args.tiny else [(" ".join(argv), argv, None) for argv in checks]
         for name in args.workloads:
             for seed in args.seeds:
                 workdir = Path(tmp) / f"{name}-{seed}"

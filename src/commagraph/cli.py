@@ -41,6 +41,10 @@ def _load_json(path: str):
         raise MalformedInput(f"the file is not UTF-8 text: {exc}") from None
     except RecursionError:
         raise MalformedInput("the JSON nests too deeply to read") from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError as exc:  # an integer past the interpreter's digit limit
+        raise MalformedInput(f"the JSON holds a number too long to read: {exc}") from None
 
 
 def _layout(value, pad: str = "\n") -> str:

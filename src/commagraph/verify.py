@@ -6,8 +6,11 @@ report carries its counterexample in the CLI's JSON forms (graphs, groups,
 comma objects, word tokens), so its inputs can be fed back to the CLI's
 subcommands, though not every failure replays as one CLI call.
 
-A suite is a generator that yields once per case: None when the case
-passes, its counterexample when it fails.  A check that is not a case
+A suite is a generator that yields what its cases found: None for one
+passing case, a plain int for that many, and a counterexample for a
+failing case, after the passes before it, so that it keeps its number.
+Only word-differential, whose cases cost about a microsecond each, yields
+counts: a prefix block or a phase at a time.  A check that is not a case
 (couniversal comparing a pair's morphism and hom counts, group reflection
 checking its unit and a pair's hom list) ends the generator by returning
 its counterexample.
@@ -112,9 +115,9 @@ def default_pool(seed: int = 0) -> list[comma.CommaObject]:
 
 
 # ---------------------------------------------------------------------------
-# Suites: one generator each, yielding None or a counterexample per case
+# Suites: one generator each, yielding passes (None or a count) and a counterexample
 
-Cases = Iterator[dict | None]
+Cases = Iterator[dict | int | None]
 
 
 def _unit_iso(max_vertices: int) -> Cases:
@@ -301,7 +304,10 @@ def _word_differential(
     the new ones.  Under each prefix every last letter is pushed, the word
     read as trivial iff no letter of the state is live, and the letter
     undone; the rewriting's verdict is whether that letter ends one of the
-    prefix's identity words.  The random phase, whose graphs and lengths
+    prefix's identity words.  Each phase yields its passing words as one
+    count, per graph and length in the exhaustive phase (the empty word
+    apart), and a disagreement as the count of passes before it, then the
+    counterexample.  The random phase, whose graphs and lengths
     would make those sets far too large, checks is_identity on each word
     against an exponent-sum gate and then the Tits representation of a
     right-angled Coxeter group, linear in its length: a word with a nonzero
@@ -345,6 +351,7 @@ def _word_differential(
             state = engine.fresh_state()
             kept, _, _, cancelled = state
             last: tuple[int, ...] = ()
+            passed = 0
             for rank, prefix in enumerate(product(letters, repeat=length - 1)):
                 # the letters after the last nonzero one wrapped round to 0,
                 # so the prefix is new from that one on (from 0 at the first)
@@ -359,8 +366,11 @@ def _word_differential(
                     push(state, one)
                     fast = len(kept) == len(cancelled)
                     undo(state, one)
-                    oracle = end >> c & 1 == 1
-                    yield None if fast == oracle else disagreement(raag, (*prefix, c), fast, oracle)
+                    if fast != end >> c & 1:  # bit c of end, the rewriting's verdict
+                        yield passed + c
+                        yield disagreement(raag, (*prefix, c), fast, not fast)
+                passed += base
+            yield passed
 
     # rng.randrange(m) draws r = rng.getrandbits(m.bit_length()) until r < m,
     # and rng.randint(a, b) is a + randrange(b - a + 1): below makes the same
@@ -376,6 +386,7 @@ def _word_differential(
 
     weights = [_exponent_weights(n) for n in range(_RANDOM_MAX_VERTICES + 1)]
     raags = {}  # (n, bits) -> the group that graph presents
+    passed = 0
     for _ in range(random_words):
         n = 1 + below(_RANDOM_MAX_VERTICES)
         bits = sum([1 << k for k in range(comb(n, 2)) if uniform() < 0.5])
@@ -394,7 +405,11 @@ def _word_differential(
         engine = raag.engine
         fast = engine.is_identity(codes)
         oracle = not sum(map(weights[n].__getitem__, codes)) and engine.oracle_is_identity(codes)
-        yield None if fast == oracle else disagreement(raag, codes, fast, oracle)
+        if fast != oracle:
+            yield passed
+            yield disagreement(raag, codes, fast, oracle)
+        passed += 1
+    yield passed
 
 
 def _exponent_weights(n: int) -> list[int]:
@@ -516,8 +531,8 @@ def validate(name: str, **given) -> dict:
 
 
 def run_suite(name: str, seed: int = 0, **given) -> CheckReport:
-    """Run a suite: the one place that counts cases and stops at the first
-    counterexample.  Bounds and fixtures go by their registry names, None
+    """Run a suite: the one place that counts cases, an int the suite yields
+    as that many passes, and stops at the first counterexample.  Bounds and fixtures go by their registry names, None
     meaning the default; a name only other suites take is ignored, any other refused."""
     suite = _suite(name)
     args = validate(name, **given)
@@ -528,8 +543,12 @@ def run_suite(name: str, seed: int = 0, **given) -> CheckReport:
     counterexample = None
     try:
         while counterexample is None:
-            counterexample = next(cases)
-            checked += 1
+            item = next(cases)
+            if type(item) is int:
+                checked += item
+            else:
+                counterexample = item
+                checked += 1
     except StopIteration as end:
         counterexample = end.value
     scope = suite.scope.format(**{key: len(v) if isinstance(v, list) else v for key, v in args.items()})

@@ -1,16 +1,19 @@
 import importlib
+import io
 import json
 import os
 import random
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from commagraph.cli import _hom_text, _layout, main
@@ -370,6 +373,68 @@ def test_non_utf8_json_exits_2(tmp_path, capsys):
     code, out, err = run(capsys, "gamma", str(path))
     assert code == 2 and out == ""
     assert err.startswith("error: MalformedInput") and err.count("\n") == 1
+
+
+_LABELS = st.sampled_from(["a", "b", "-a", "", "e", "g", "1", "12", "213"]) | st.text("ab-e12\n", max_size=3)
+_ATOMS = st.none() | st.booleans() | st.integers(-2, 4) | st.sampled_from([1001, 2**64]) | st.floats() | _LABELS
+_ANY = st.recursive(
+    _ATOMS, lambda kids: st.lists(kids, max_size=3) | st.dictionaries(_LABELS, kids, max_size=3), max_leaves=10
+)
+
+
+def _shaped(**fields):
+    """Objects with a reader's keys, each value of the kind it expects or any JSON."""
+    return st.fixed_dictionaries({key: value | _ANY for key, value in fields.items()})
+
+
+_GRAPHS = _shaped(vertices=st.lists(_LABELS, max_size=4), edges=st.lists(st.lists(_LABELS, max_size=3), max_size=4))
+_GROUPS = st.one_of(
+    _shaped(
+        type=st.just("perm"),
+        degree=st.integers(-1, 4),
+        generators=st.lists(st.lists(st.integers(0, 4), max_size=4), max_size=3),
+    ),
+    _shaped(
+        type=st.just("cayley"),
+        elements=st.lists(_LABELS, max_size=3),
+        table=st.lists(st.lists(_LABELS, max_size=3), max_size=3),
+    ),
+    _shaped(type=st.just("raag"), presentation=_GRAPHS),
+    _shaped(type=st.just("free"), generators=st.lists(_LABELS, max_size=3)),
+)
+_OBJECTS = _shaped(
+    gens=st.lists(_LABELS, max_size=3),
+    target=_GROUPS,
+    images=st.dictionaries(_LABELS, _LABELS | st.lists(_LABELS, max_size=3), max_size=3),
+)
+_FILES = st.one_of(_GRAPHS, _GROUPS, _OBJECTS, _ANY).map(json.dumps) | st.text(max_size=8)
+_PATH20 = {"vertices": [f"v{i}" for i in range(20)], "edges": [[f"v{i}", f"v{i + 1}"] for i in range(19)]}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(["gamma", "coreflect", "raag-reduce", "commutation-graph", "homs"]),
+    _FILES,
+    _FILES,
+    st.lists(_LABELS, max_size=4),
+)
+@example("commutation-graph", json.dumps({"type": "perm", "degree": 1001, "generators": []}), "", [])
+@example("homs", json.dumps(EDGE), json.dumps({"type": "perm", "degree": 1001, "generators": [[2, 1]]}), [])
+@example("homs", json.dumps(_PATH20), json.dumps(EDGE), [])
+@example("gamma", '{"vertices": [' + "9" * 5000 + '], "edges": []}', "", [])  # past int's digit limit
+def test_random_json_exits_0_2_or_3_and_a_refusal_is_one_line(command, first, second, word):
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, name) for name in ("first.json", "second.json")]
+        for path, text in zip(paths, (first, second)):
+            Path(path).write_text(text, encoding="utf-8")
+        argv = {"homs": paths, "raag-reduce": [paths[0], *word]}.get(command, paths[:1])
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([command, *argv])
+    assert code in (0, 2, 3)
+    if code:
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+        assert "Traceback" not in err.getvalue()
 
 
 FREE = {"type": "free", "generators": ["a"]}

@@ -454,17 +454,23 @@ def test_word_differential_random_words_are_the_stdlib_draws(monkeypatch, seed):
     report = verify.run_suite("word-differential", seed=seed, max_vertices=0, max_len=0)
     # the exhaustive phase, one empty word, asks is_identity nothing
     assert report.passed and report.cases_checked == 1 + 10000
+    assert asked == _stdlib_random_words(seed, 10000)
 
+
+def _stdlib_random_words(seed: int, count: int) -> list:
+    """The random phase's first count words at seed, drawn with rng.randint,
+    rng.random and rng.randrange: each as its graph (vertex count, edges as
+    index pairs in graphs_on's order) and its letter codes."""
     rng = random.Random(seed)
-    expected = []
-    for _ in range(10000):
+    words = []
+    for _ in range(count):
         n = rng.randint(1, verify._RANDOM_MAX_VERTICES)
         pairs = list(combinations(range(n), 2))
         bits = sum([1 << k for k in range(len(pairs)) if rng.random() < 0.5])
         length = rng.randint(0, verify._RANDOM_MAX_LEN)
         codes = tuple([rng.randrange(2 * n) for _ in range(length)])
-        expected.append(((n, [p for k, p in enumerate(pairs) if bits >> k & 1]), codes))
-    assert asked == expected
+        words.append(((n, [p for k, p in enumerate(pairs) if bits >> k & 1]), codes))
+    return words
 
 
 def _zero_sum(codes) -> bool:
@@ -605,6 +611,79 @@ def test_word_differential_walks_every_word_once_in_product_order(monkeypatch, e
     assert _replayed_verdict(ce) == ce["fast"] != ce["oracle"]
 
 
+def _words_up_to(n: int, max_len: int) -> int:
+    """Words of length <= max_len over n generators and their inverses."""
+    return sum((2 * n) ** length for length in range(max_len + 1))
+
+
+# the edge graph a-b, the last graph on <= 2 vertices: the words of the
+# graphs before it are the empty word on 0 vertices, then every word of
+# length <= 3 on one vertex and on two without an edge
+_BEFORE_THE_EDGE = 1 + _words_up_to(1, 3) + _words_up_to(2, 3)
+
+
+@pytest.mark.parametrize(
+    "word",
+    [
+        (2, 3, 0),  # b.-b.a: last letter 0, under a prefix that is not the length's first
+        (0, 2, 3),  # a.b.-b: last letter 3, the last of its prefix's block
+        (0, 0),  # a.a: the first word of length 2
+    ],
+    ids=["first-of-block", "last-of-block", "first-of-length"],
+)
+def test_word_differential_counts_the_cases_before_an_exhaustive_failure(monkeypatch, word):
+    # the word, which is no identity, is read into the oracle's identity
+    # words on the edge graph: the run stops at it, and its case number is
+    # the words before it in the walk's order, plus one
+    from commagraph.groups import _RaagEngine
+
+    real = _RaagEngine.oracle_identity_words
+
+    def adding(self, max_len):
+        words = real(self, max_len)
+        if _engine_graph(self) == (2, [(0, 1)]):
+            words[len(word)].add(word)
+        return words
+
+    monkeypatch.setattr(_RaagEngine, "oracle_identity_words", adding)
+    report = verify.run_suite("word-differential", max_vertices=2, max_len=3, random_words=0)
+    shorter = sum(4 ** length for length in range(len(word)))
+    rank = sum(c * 4 ** (len(word) - 1 - i) for i, c in enumerate(word))
+    assert report.cases_checked == _BEFORE_THE_EDGE + shorter + rank + 1
+    ce = report.counterexample
+    assert ce == {
+        "presentation": {"vertices": ["a", "b"], "edges": [["a", "b"]]},
+        "word": [["a", "-a", "b", "-b"][c] for c in word],
+        "fast": False,
+        "oracle": True,
+    }
+    monkeypatch.undo()
+    assert _replayed_verdict(ce) == ce["fast"] != ce["oracle"]
+
+
+def test_word_differential_counts_the_cases_before_a_random_failure(monkeypatch):
+    # is_identity lies about one random word, the first that is new and has
+    # at least 6 letters from the 100th on: the run stops at it after every
+    # exhaustive word and the random words before it have passed
+    from commagraph.groups import _RaagEngine
+
+    words = _stdlib_random_words(0, 10000)
+    at = next(i for i in range(100, len(words)) if len(words[i][1]) >= 6 and words.index(words[i]) == i)
+    graph, codes = words[at]
+    real = _RaagEngine.is_identity
+
+    def lying(self, enc):
+        return real(self, enc) != ((_engine_graph(self), tuple(enc)) == (graph, codes))
+
+    monkeypatch.setattr(_RaagEngine, "is_identity", lying)
+    report = verify.run_suite("word-differential", seed=0, max_vertices=2, max_len=3)
+    assert report.cases_checked == _BEFORE_THE_EDGE + _words_up_to(2, 3) + at + 1
+    ce = report.counterexample
+    assert len(ce["word"]) == len(codes) and ce["fast"] != ce["oracle"]
+    monkeypatch.undo()
+    assert _replayed_verdict(ce) == ce["oracle"]
+
+
 def test_word_differential_noncommuting_mutation_is_caught(monkeypatch):
     # the Tits oracle reads the graph only through noncommuting, so a
     # corrupted entry of that derived form alone must be caught.  A code
@@ -657,6 +736,25 @@ def test_run_suite_dispatch():
     assert verify.run_suite("unit-iso", max_vertices=2).cases_checked == 4
     with pytest.raises(KeyError):
         verify.run_suite("bogus")
+
+
+def test_run_suite_counts_an_int_as_that_many_passing_cases(monkeypatch):
+    found = {"word": ["a"]}
+
+    def failing():
+        yield from (3, None, 0, 5)
+        yield found
+        yield 100  # never read: the run stops at its counterexample
+
+    def passing():
+        yield from (3, 0, 4)
+
+    monkeypatch.setitem(verify.SUITES, "fake", verify.Suite(failing, "fake", {}))
+    report = verify.run_suite("fake")
+    assert (report.passed, report.cases_checked, report.counterexample) == (False, 10, found)
+    monkeypatch.setitem(verify.SUITES, "fake", verify.Suite(passing, "fake", {}))
+    report = verify.run_suite("fake")
+    assert (report.passed, report.cases_checked, report.counterexample) == (True, 7, None)
 
 
 def test_report_json_shape():
